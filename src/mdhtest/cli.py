@@ -235,7 +235,9 @@ def _cmd_gs(args) -> int:
     print(
         f"GS statistic {outcome.statistic:.6g} "
         f"(lags 1..{outcome.max_lag_used}), "
-        f"p = {outcome.p_value:.4f} [B = {outcome.n_boot}, eta = {args.eta}]",
+        f"p = {outcome.p_value:.4f} [B = {outcome.n_boot}, eta = {args.eta}], "
+        f"Gram factor rank {outcome.rank}, "
+        f"certified error <= {outcome.error_bound:.3g}",
         file=sys.stderr,
     )
     return 0

@@ -6,6 +6,7 @@ independent of the package's vectorized/compiled code paths.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -72,6 +73,34 @@ def ref_gs_statistic(values, max_lag=None):
                 e_s = values[s] - ybar
                 w = math.exp(-0.5 * (values[t - j] - values[s - j]) ** 2)
                 acc.append(e_t * e_s * w)
+        total.append(gamma * math.fsum(acc))
+    return math.fsum(total)
+
+
+def ref_gs_statistic_expm1(values, max_lag=None):
+    """The same triple loop with each weight split as 1 + expm1(.).
+
+    The constant part contracts to (sum_t e_t)^2, which centering makes
+    zero up to roundoff, and what remains is accurate to the data's own
+    scale. ref_gs_statistic rounds weights near 1 and so loses digits on
+    small data (relative error about eps / sd^2); this form does not, which
+    makes it the oracle for errors far below 1e-10. Residuals are formed in
+    rational arithmetic and rounded once, so a large mean costs no digits.
+    """
+    T = len(values)
+    J = T - 1 if max_lag is None else max_lag
+    total = []
+    for j in range(1, J + 1):
+        n = T - j
+        kept = [Fraction(v) for v in values[j:]]
+        ybar = sum(kept, Fraction(0)) / n
+        gamma = (T - j) / (j * math.pi) ** 2
+        e = [float(v - ybar) for v in kept]
+        acc = [math.fsum(e) ** 2]
+        for a in range(n):
+            for b in range(n):
+                d = values[a] - values[b]
+                acc.append(e[a] * e[b] * math.expm1(-0.5 * d * d))
         total.append(gamma * math.fsum(acc))
     return math.fsum(total)
 

@@ -172,6 +172,7 @@ class TestGsCommand:
         assert parsed["p_value"] == want.p_value
         assert "lag truncation at 5: omitted statistic mass <=" in err
         assert "GS statistic" in err
+        assert f"Gram factor rank {want.rank}, certified error <=" in err
 
     def test_full_lag_has_no_truncation_note(self, tmp_path, capsys):
         path = str(tmp_path / "short.csv")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from mdhtest import (
     truncation_bound,
 )
 from mdhtest.bootstrap import GS_DOMAIN, draw_multipliers, substream
-from mdhtest.gs import _lag_terms_and_q
+from mdhtest.gs import _fit, _replicate
 from conftest import make_series
-from reference import ref_gs_statistic, random_series_values
+from reference import (
+    random_series_values,
+    ref_gs_statistic,
+    ref_gs_statistic_expm1,
+)
 
 
 class TestGramMatrix:
@@ -115,36 +120,89 @@ class TestTruncationBound:
         assert truncation_bound(s, "full") == 0.0
 
 
+class TestGramFactor:
+    # the factored statistic against the brute-force oracles, over the data
+    # a return series can be: decimal and percent scale, far larger scales,
+    # a large mean, ticks (tied values) and the thinnest windows
+
+    def _check(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        out = gs_test(make_series(values), BootstrapConfig(n_boot=1, seed=0))
+        assert out.statistic == pytest.approx(ref_gs_statistic(list(values)), rel=1e-10)
+        # the certified bound covers the factor's error; the 1e-13 slack
+        # covers floating-point roundoff, about 1e-15 relative here
+        exact = ref_gs_statistic_expm1(list(values))
+        assert exact - out.statistic <= out.error_bound + 1e-13 * exact
+        assert out.statistic - exact <= 1e-13 * exact
+        assert out.error_bound <= 1e-12 * out.statistic
+        return out
+
+    @pytest.mark.parametrize("scale", [0.01, 0.02, 1.0, 3.0, 10.0])
+    def test_matches_oracle_at_every_scale(self, scale):
+        values = scale * np.random.default_rng(41).standard_normal(60)
+        out = self._check(values)
+        assert 1 <= out.rank <= 58
+
+    def test_large_mean_offset(self):
+        values = random_series_values(np.random.default_rng(42), 60)
+        self._check(values + 5.0)
+        self._check(100.0 * values + 5.0)
+
+    def test_tied_values(self):
+        # percent returns quoted to one decimal: many exact ties
+        values = np.round(np.random.default_rng(43).standard_normal(60), 1)
+        self._check(values)
+
+    def test_shortest_series(self):
+        assert self._check([0.5, -0.2]).rank == 0
+        self._check([0.3, -0.1, 0.2])
+        self._check([1.3, -2.1, 0.4])
+
+    def test_exhausted_factor_is_exact(self):
+        # at scale 10 the Gram matrix has full numerical rank: pivoting runs
+        # until the residual is gone, leaving an exact Cholesky factor of
+        # the anchored matrix (whose anchor row is zero) with bound 0
+        values = 10.0 * np.random.default_rng(44).standard_normal(8)
+        out = self._check(values)
+        assert out.rank == len(values) - 2
+        assert out.error_bound == 0.0
+
+
 class TestBootstrapMatrix:
+    # each replication is the quadratic form eta' Q eta of an implicit
+    # T x T matrix Q, evaluated through the Gram factor without forming Q
+
     def test_row_sums_reproduce_statistic(self):
         # with unit multipliers the quadratic form must collapse to the
         # observed statistic: 1'Q1 = D^2
         values = random_series_values(np.random.default_rng(31), 70)
-        s = make_series(values)
-        w = gram_matrix(s)
-        terms, q = _lag_terms_and_q(w, values, len(values) - 1)
-        assert float(q.sum()) == pytest.approx(math.fsum(terms), rel=1e-10)
+        fit = _fit(values, len(values) - 1)
+        ones = np.ones((1, len(values)))
+        assert _replicate(fit, ones, 1)[0] == pytest.approx(fit.statistic, rel=1e-10)
 
     def test_positive_semidefinite(self):
         values = random_series_values(np.random.default_rng(32), 50)
-        s = make_series(values)
-        _, q = _lag_terms_and_q(gram_matrix(s), values, 49)
-        scale = np.abs(q).max()
-        assert np.linalg.eigvalsh(q).min() >= -1e-8 * scale
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            eta = rng.standard_normal(50)
-            assert float(eta @ (q @ eta)) >= -1e-10
+        fit = _fit(values, 49)
+        # recover Q by polarization: Q_ab = (r(e_a + e_b) - r(e_a) - r(e_b)) / 2
+        eye = np.eye(50)
+        diag = _replicate(fit, eye, 1)
+        a, b = np.triu_indices(50, 1)
+        q = np.diag(diag)
+        q[a, b] = q[b, a] = (_replicate(fit, eye[a] + eye[b], 1) - diag[a] - diag[b]) / 2
+        assert np.linalg.eigvalsh(q).min() >= -1e-8 * np.abs(q).max()
+        # every replication is a weighted sum of squares
+        eta = np.random.default_rng(0).standard_normal((20, 50))
+        assert np.all(_replicate(fit, eta, 1) >= 0.0)
 
     def test_quadratic_form_matches_direct_recentered_evaluation(self):
-        # replication law computed two ways: (a) the precomputed matrix,
+        # replication law computed two ways: (a) the batched FFT path,
         # (b) literally rescaling residuals, re-centering per lag, and
         # contracting against the raw Gram block
         values = random_series_values(np.random.default_rng(33), 40)
         s = make_series(values)
         w = gram_matrix(s)
         T = len(values)
-        _, q = _lag_terms_and_q(w, values, T - 1)
+        fit = _fit(values, T - 1)
         rng = np.random.default_rng(1)
         for _ in range(10):
             eta = rng.standard_normal(T)
@@ -156,7 +214,8 @@ class TestBootstrapMatrix:
                 c = c - c.mean()
                 gamma = (T - j) / (j * math.pi) ** 2
                 direct += gamma * float(c @ (w[:n, :n] @ c))
-            assert float(eta @ (q @ eta)) == pytest.approx(direct, rel=1e-8)
+            got = _replicate(fit, eta[None, :], 1)[0]
+            assert got == pytest.approx(direct, rel=1e-10)
 
 
 class TestGsTest:
@@ -187,13 +246,13 @@ class TestGsTest:
         s = make_series(values)
         boot = BootstrapConfig(n_boot=23, multiplier="normal", seed=11)
         out = gs_test(s, boot)
-        terms, q = _lag_terms_and_q(gram_matrix(s), values, 49)
-        statistic = float(math.fsum(terms))
+        fit = _fit(values, 49)
+        statistic = fit.statistic
         exceed = 0
         for j in range(boot.n_boot):
             rng = substream(boot.seed, GS_DOMAIN, j)
             eta = draw_multipliers(rng, boot.multiplier, 50)
-            exceed += float(eta @ (q @ eta)) >= statistic
+            exceed += _replicate(fit, eta[None, :], 1)[0] >= statistic
         assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
         assert out.statistic == statistic
         assert out.n_boot == 23
@@ -213,3 +272,17 @@ class TestGsTest:
             out = gs_test(s, BootstrapConfig(n_boot=300, seed=i))
             rejections += out.p_value < 0.05
         assert 0.025 <= rejections / M <= 0.08
+
+    def test_long_series_bounded_memory(self):
+        # a T x T matrix at T = 10 000 would alone take 800 MB
+        s = make_series(random_series_values(np.random.default_rng(38), 10_000))
+        tracemalloc.start()
+        try:
+            out = gs_test(s, BootstrapConfig(n_boot=19, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert out.max_lag_used == 9_999
+        assert 0.0 < out.p_value <= 1.0
+        assert out.error_bound <= 1e-12 * out.statistic
