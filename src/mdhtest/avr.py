@@ -12,7 +12,6 @@ every replication.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,21 +118,19 @@ def avr_test(
     ``substream(boot.seed, AVR_DOMAIN, j)`` and recomputes the entire
     pipeline, bandwidth re-selection included. The two-sided p-value uses the
     add-one rule; the band is the 2.5/97.5 percentile pair of the bootstrap
-    statistics. Output is identical for any ``workers`` count.
+    statistics. Replications run one after another: ``workers`` is accepted
+    for a stable API but ignored, because only rolling windows run in
+    parallel (``run_rolling``).
     """
     T = len(series)
     if T < 4:
         raise ValueError(f"need at least 4 observations, got {T}")
     values = series.values
     statistic, vr, bandwidth = _pipeline(values)
-
-    def one_replication(j: int) -> float:
-        rng = substream(boot.seed, AVR_DOMAIN, j)
-        eta = draw_multipliers(rng, boot.multiplier, T)
-        stat_j, _, _ = _pipeline(eta * values)
-        return stat_j
-
-    boot_stats = _map_replications(one_replication, boot.n_boot, workers)
+    boot_stats = np.empty(boot.n_boot)
+    for j in range(boot.n_boot):
+        eta = draw_multipliers(substream(boot.seed, AVR_DOMAIN, j), boot.multiplier, T)
+        boot_stats[j] = _pipeline(eta * values)[0]
     exceed = int(np.sum(np.abs(boot_stats) >= abs(statistic)))
     p_value = (1.0 + exceed) / (boot.n_boot + 1.0)
     ci_low, ci_high = np.percentile(boot_stats, [2.5, 97.5])
@@ -146,15 +143,3 @@ def avr_test(
         ci_high=float(ci_high),
         n_boot=boot.n_boot,
     )
-
-
-def _map_replications(fn, n_boot: int, workers: int) -> np.ndarray:
-    out = np.empty(n_boot)
-    if workers <= 1:
-        for j in range(n_boot):
-            out[j] = fn(j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for j, value in enumerate(pool.map(fn, range(n_boot))):
-                out[j] = value
-    return out

@@ -103,7 +103,11 @@ def _add_boot_args(p: argparse.ArgumentParser) -> None:
         "--eta", choices=MULTIPLIERS, default="normal",
         help="wild-bootstrap multiplier law (default: normal)",
     )
-    p.add_argument("--workers", type=int, default=1, help="worker threads")
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="threads that run rolling windows in parallel (roll only; "
+        "avr and gs accept it and run on one thread)",
+    )
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 

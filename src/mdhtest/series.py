@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
-from scipy import stats as _stats
 
 FREQUENCIES = ("daily", "weekly")
 
@@ -103,7 +101,7 @@ def describe(series: ReturnSeries) -> MomentSummary:
     """Moment summary plus Jarque-Bera normality statistic.
 
     Requires at least 4 observations and positive variance; the JB p-value
-    uses the asymptotic chi-square(2) upper tail.
+    uses the asymptotic chi-square(2) upper tail, exp(-JB/2) in closed form.
     """
     n = len(series)
     if n < 4:
@@ -119,7 +117,7 @@ def describe(series: ReturnSeries) -> MomentSummary:
     skewness = m3 / m2**1.5
     kurtosis = m4 / m2**2
     jb = jarque_bera_from_moments(n, skewness, kurtosis)
-    jb_p = float(_stats.chi2.sf(jb, 2))
+    jb_p = math.exp(-jb / 2.0)
     return MomentSummary(
         size=n,
         mean=mean,
@@ -138,6 +136,20 @@ def _demeaned(values: np.ndarray) -> tuple[np.ndarray, float]:
     if den <= 0.0:
         raise DegenerateSeriesError("degenerate series: zero sample variance")
     return d, den
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: a length the FFT factors fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def autocorr(series: ReturnSeries, lag: int) -> float:
@@ -170,7 +182,7 @@ def autocorrelations(values: np.ndarray, max_lag: int | None = None) -> np.ndarr
     if T <= _DIRECT_ACV_LIMIT:
         acv = np.correlate(d, d, mode="full")[T - 1 :]
     else:
-        n = _fft.next_fast_len(2 * T - 1, real=True)
-        spec = _fft.rfft(d, n)
-        acv = _fft.irfft(spec * np.conj(spec), n)[:T]
+        n = _fast_len(2 * T - 1)
+        spec = np.fft.rfft(d, n)
+        acv = np.fft.irfft(spec * np.conj(spec), n)[:T]
     return acv[1 : max_lag + 1] / den

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mdhtest
 from mdhtest import BootstrapConfig, WindowSpec, avr_test, gs_test, run_rolling
 from mdhtest.cli import main
 from mdhtest.panel import equal_weight_series, load_panel
@@ -308,3 +311,18 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["roll", sim_csv, "--test", "box"])
         assert exc.value.code == 2
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mdhtest.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, mdhtest.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "[]"

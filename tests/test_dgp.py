@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from mdhtest import BootstrapConfig, DgpSpec, avr_test, generate, gs_test
+from mdhtest.bootstrap import DGP_DOMAIN, substream
 from mdhtest.series import autocorrelations
 
 
@@ -105,6 +107,13 @@ class TestGenerate:
     def test_ar1_first_autocorrelation(self):
         s = generate(DgpSpec(kind="ar1", length=10_000, seed=2, params={"phi": 0.5}))
         assert autocorrelations(s.values, max_lag=1)[0] == pytest.approx(0.5, abs=0.03)
+
+    @pytest.mark.parametrize("phi", [-0.9, -0.3, 0.0, 0.5, 0.95])
+    def test_ar1_recursion_matches_lfilter(self, phi):
+        spec = DgpSpec(kind="ar1", length=500, seed=9, params={"phi": phi})
+        eps = substream(spec.seed, DGP_DOMAIN).standard_normal(spec.burn_in + spec.length)
+        expected = lfilter([1.0], [1.0, -phi], eps)[spec.burn_in :]
+        assert np.array_equal(generate(spec).values, expected)
 
     def test_garch_uncorrelated_levels_correlated_squares(self):
         s = generate(

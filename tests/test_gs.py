@@ -178,21 +178,21 @@ class TestBootstrapMatrix:
         values = random_series_values(np.random.default_rng(31), 70)
         fit = _fit(values, len(values) - 1)
         ones = np.ones((1, len(values)))
-        assert _replicate(fit, ones, 1)[0] == pytest.approx(fit.statistic, rel=1e-10)
+        assert _replicate(fit, ones)[0] == pytest.approx(fit.statistic, rel=1e-10)
 
     def test_positive_semidefinite(self):
         values = random_series_values(np.random.default_rng(32), 50)
         fit = _fit(values, 49)
         # recover Q by polarization: Q_ab = (r(e_a + e_b) - r(e_a) - r(e_b)) / 2
         eye = np.eye(50)
-        diag = _replicate(fit, eye, 1)
+        diag = _replicate(fit, eye)
         a, b = np.triu_indices(50, 1)
         q = np.diag(diag)
-        q[a, b] = q[b, a] = (_replicate(fit, eye[a] + eye[b], 1) - diag[a] - diag[b]) / 2
+        q[a, b] = q[b, a] = (_replicate(fit, eye[a] + eye[b]) - diag[a] - diag[b]) / 2
         assert np.linalg.eigvalsh(q).min() >= -1e-8 * np.abs(q).max()
         # every replication is a weighted sum of squares
         eta = np.random.default_rng(0).standard_normal((20, 50))
-        assert np.all(_replicate(fit, eta, 1) >= 0.0)
+        assert np.all(_replicate(fit, eta) >= 0.0)
 
     def test_quadratic_form_matches_direct_recentered_evaluation(self):
         # replication law computed two ways: (a) the batched FFT path,
@@ -214,7 +214,7 @@ class TestBootstrapMatrix:
                 c = c - c.mean()
                 gamma = (T - j) / (j * math.pi) ** 2
                 direct += gamma * float(c @ (w[:n, :n] @ c))
-            got = _replicate(fit, eta[None, :], 1)[0]
+            got = _replicate(fit, eta[None, :])[0]
             assert got == pytest.approx(direct, rel=1e-10)
 
 
@@ -252,7 +252,7 @@ class TestGsTest:
         for j in range(boot.n_boot):
             rng = substream(boot.seed, GS_DOMAIN, j)
             eta = draw_multipliers(rng, boot.multiplier, 50)
-            exceed += _replicate(fit, eta[None, :], 1)[0] >= statistic
+            exceed += _replicate(fit, eta[None, :])[0] >= statistic
         assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
         assert out.statistic == statistic
         assert out.n_boot == 23

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.stats import chi2
 
 from mdhtest import (
@@ -12,6 +13,7 @@ from mdhtest import (
     describe,
     jarque_bera_from_moments,
 )
+from mdhtest.series import _fast_len
 from conftest import make_series
 from reference import ref_autocorr, ref_jarque_bera
 
@@ -145,3 +147,8 @@ class TestAutocorrelations:
     def test_max_lag_truncation(self):
         values = np.random.default_rng(4).standard_normal(30)
         assert len(autocorrelations(values, max_lag=5)) == 5
+
+    def test_fast_len_matches_scipy_next_fast_len(self):
+        # the FFT path's padded length: the least 5-smooth n' >= n
+        ns = range(1, 20_001)
+        assert [_fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
