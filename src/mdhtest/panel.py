@@ -5,6 +5,14 @@ Input is a per-instrument return panel, either long form
 instrument, blank cells meaning the instrument has no observation that
 date). Validation is strict and every error carries the offending file
 line number; missing observations stay missing and are never zero-filled.
+
+Ingest is one streamed pass over the CSV reader: the file is never held as
+a list of rows. Wide rows are parsed into a (dates x instruments) float
+matrix with NaN for blank cells, and the long-form arrays come from its
+present cells in one vectorized step, date-major and in column order.
+Repeated (date, instrument) pairs are found once, vectorized, by
+``PanelInput`` itself; the long loader maps the rows it reports back to
+file lines.
 """
 
 from __future__ import annotations
@@ -23,6 +31,40 @@ FORMATS = ("long", "wide")
 
 class PanelError(ValueError):
     """Malformed panel input: parse failure or invariant violation."""
+
+
+class _DuplicatePair(PanelError):
+    """A repeated (date, instrument) pair; ``rows`` are the two row indices."""
+
+    def __init__(self, message: str, rows: tuple):
+        super().__init__(message)
+        self.rows = rows
+
+
+def _first_duplicate(dates: np.ndarray, instruments: np.ndarray):
+    """Rows (first, second) of the earliest repeat of a (date, instrument) pair.
+
+    ``second`` is the lowest row whose pair occurred before and ``first`` the
+    row where that pair first occurred, which is what a row-by-row scan with
+    a ``seen`` dict reports. None when every pair is unique.
+    """
+    codes_of = {}
+    codes = np.fromiter(
+        (codes_of.setdefault(x, len(codes_of)) for x in instruments),
+        dtype=np.int64, count=len(instruments),
+    )
+    # Dense date ranks, not raw day numbers, keep the key below n² (NaT and
+    # far-apart dates would overflow int64 as day·n_codes).
+    _, day_codes = np.unique(dates.view(np.int64), return_inverse=True)
+    key = day_codes * len(codes_of) + codes
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    repeated = sorted_key[1:] == sorted_key[:-1]
+    if not repeated.any():
+        return None
+    second = int(order[1:][repeated].min())
+    first = int(np.flatnonzero(key == key[second])[0])
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -45,14 +87,13 @@ class PanelInput:
         if len(returns) and not np.all(np.isfinite(returns)):
             bad = int(np.flatnonzero(~np.isfinite(returns))[0])
             raise PanelError(f"non-finite return at row {bad}")
-        seen = {}
-        for i in range(len(dates)):
-            key = (dates[i].astype(str), instruments[i])
-            if key in seen:
-                raise PanelError(
-                    f"duplicate (date, instrument) {key} at rows {seen[key]} and {i}"
-                )
-            seen[key] = i
+        rows = _first_duplicate(dates, instruments)
+        if rows is not None:
+            key = (dates[rows[1]].astype(str), instruments[rows[1]])
+            raise _DuplicatePair(
+                f"duplicate (date, instrument) {key} at rows {rows[0]} and {rows[1]}",
+                rows,
+            )
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "instruments", instruments)
         object.__setattr__(self, "returns", returns)
@@ -61,9 +102,9 @@ class PanelInput:
         return len(self.returns)
 
 
-def _parse_date(text: str, line: int) -> str:
+def _parse_date(text: str, line: int) -> _date:
     try:
-        return _date.fromisoformat(text.strip()).isoformat()
+        return _date.fromisoformat(text.strip())
     except ValueError:
         raise PanelError(f"line {line}: invalid ISO-8601 date {text!r}") from None
 
@@ -78,56 +119,80 @@ def _parse_return(text: str, line: int) -> float:
     return value
 
 
-def _read_csv(path: str) -> list:
+def _undecodable_line(path: str) -> int:
+    """Number of the first line of ``path`` that is not valid UTF-8.
+
+    The text layer decodes in chunks, so a decode error surfaces before the
+    reader reaches the bad line; no UTF-8 sequence contains a newline byte,
+    so decoding line by line finds it exactly.
+    """
+    number = 0
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return number
+
+
+def load_panel(path: str, format: str = "long") -> PanelInput:
+    """Read and validate a CSV panel in one streamed pass.
+
+    Rows are parsed as the CSV reader yields them; the file is never held
+    as a list of rows. All diagnostics name file lines.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    load = _load_long if format == "long" else _load_wide
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise PanelError(f"{path}: empty file")
+            return load(path, [c.strip() for c in header], reader)
+    except csv.Error as exc:
+        raise PanelError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise PanelError(
+            f"{path}: line {_undecodable_line(path)}: invalid UTF-8 ({exc.reason})"
+        ) from None
     except OSError as exc:
         raise PanelError(f"cannot read {path}: {exc}") from None
 
 
-def load_panel(path: str, format: str = "long") -> PanelInput:
-    """Read and validate a CSV panel; all diagnostics name file lines."""
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    rows = _read_csv(path)
-    if not rows:
-        raise PanelError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if format == "long":
-        return _load_long(path, header, rows)
-    return _load_wide(path, header, rows)
-
-
-def _load_long(path, header, rows) -> PanelInput:
+def _load_long(path, header, reader) -> PanelInput:
     if header != ["date", "instrument", "return"]:
         raise PanelError(
             f"{path}: long format needs header date,instrument,return, "
             f"got {','.join(header)}"
         )
-    dates, instruments, returns = [], [], []
-    seen = {}
-    for i, row in enumerate(rows[1:]):
-        line = i + 2
+    days, instruments, returns = [], [], []
+    for line, row in enumerate(reader, start=2):
         if len(row) != 3:
             raise PanelError(f"line {line}: expected 3 fields, got {len(row)}")
-        iso = _parse_date(row[0], line)
+        days.append(_parse_date(row[0], line).toordinal())
         instrument = row[1].strip()
         if not instrument:
             raise PanelError(f"line {line}: empty instrument id")
-        key = (iso, instrument)
-        if key in seen:
-            raise PanelError(
-                f"duplicate (date, instrument) {key} at lines {seen[key]} and {line}"
-            )
-        seen[key] = line
-        dates.append(iso)
         instruments.append(instrument)
         returns.append(_parse_return(row[2], line))
-    return _build(dates, instruments, returns)
+    try:
+        return PanelInput(
+            dates=_dates(days),
+            instruments=np.array(instruments, dtype=object),
+            returns=np.array(returns, dtype=np.float64),
+        )
+    except _DuplicatePair as dup:
+        first, second = dup.rows
+        key = (_date.fromordinal(days[second]).isoformat(), instruments[second])
+        raise PanelError(
+            f"duplicate (date, instrument) {key} at lines {first + 2} and {second + 2}"
+        ) from None
 
 
-def _load_wide(path, header, rows) -> PanelInput:
+def _load_wide(path, header, reader) -> PanelInput:
     if len(header) < 2 or header[0] != "date":
         raise PanelError(
             f"{path}: wide format needs header date,<id>,... got {','.join(header)}"
@@ -138,33 +203,39 @@ def _load_wide(path, header, rows) -> PanelInput:
     if len(set(ids)) != len(ids):
         dupes = sorted({c for c in ids if ids.count(c) > 1})
         raise PanelError(f"{path}: duplicate instrument columns {dupes}")
-    dates, instruments, returns = [], [], []
-    seen = {}
-    for i, row in enumerate(rows[1:]):
-        line = i + 2
+    days, cells, seen = [], [], {}
+    for line, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise PanelError(
                 f"line {line}: expected {len(header)} fields, got {len(row)}"
             )
-        iso = _parse_date(row[0], line)
-        if iso in seen:
-            raise PanelError(f"duplicate date {iso} at lines {seen[iso]} and {line}")
-        seen[iso] = line
-        for instrument, cell in zip(ids, row[1:]):
-            if cell.strip() == "":
-                continue  # explicit absence, never zero-filled
-            dates.append(iso)
-            instruments.append(instrument)
-            returns.append(_parse_return(cell, line))
-    return _build(dates, instruments, returns)
+        day = _parse_date(row[0], line)
+        if day in seen:
+            raise PanelError(f"duplicate date {day} at lines {seen[day]} and {line}")
+        seen[day] = line
+        days.append(day.toordinal())
+        # A blank cell is an explicit absence, never zero-filled: it stays
+        # NaN here (no parsed return can be NaN) and is dropped below.
+        cells.append(np.array(
+            [_parse_return(c, line) if c.strip() else math.nan for c in row[1:]]
+        ))
+    matrix = np.array(cells, dtype=np.float64).reshape(len(cells), len(ids))
+    del cells
+    # Row-major nonzero keeps the long form date-major in column order.
+    rows, cols = np.nonzero(~np.isnan(matrix))
+    dates = _dates(days)[rows]
+    instruments = np.array(ids, dtype=object)[cols]
+    returns = matrix[rows, cols]
+    del matrix, rows, cols  # freed before PanelInput's duplicate check, the peak
+    return PanelInput(dates=dates, instruments=instruments, returns=returns)
 
 
-def _build(dates, instruments, returns) -> PanelInput:
-    return PanelInput(
-        dates=np.array(dates, dtype="datetime64[D]"),
-        instruments=np.array(instruments, dtype=object),
-        returns=np.array(returns, dtype=np.float64),
-    )
+_EPOCH = _date(1970, 1, 1).toordinal()
+
+
+def _dates(ordinals: list) -> np.ndarray:
+    """datetime64[D] days from proleptic Gregorian ordinals."""
+    return (np.array(ordinals, dtype=np.int64) - _EPOCH).astype("datetime64[D]")
 
 
 def equal_weight_series(panel: PanelInput, frequency: str) -> ReturnSeries:

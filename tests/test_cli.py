@@ -307,6 +307,28 @@ class TestErrorHandling:
         assert code == 1
         assert "duplicate" in err
 
+    def test_oversized_field_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "date,instrument,return\n2000-01-03,A,0.01\n"
+            f"2000-01-04,{'A' * 200_000},0.02\n"
+        )
+        code, _, err = run(capsys, ["describe", str(path)])
+        assert code == 1
+        assert err.startswith("error:")
+        assert f"{path}: line 3: field larger than field limit" in err
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys):
+        # Far past the first decoded chunk, so the line is not the reader's.
+        rows = [f"2000-01-03,I{i:05d},0.01\n".encode() for i in range(2000)]
+        rows[1500] = b"2000-01-03,\xff\xfe,0.01\n"
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"date,instrument,return\n" + b"".join(rows))
+        code, _, err = run(capsys, ["describe", str(path)])
+        assert code == 1
+        assert err.startswith("error:")
+        assert f"{path}: line 1502: invalid UTF-8" in err
+
     def test_invalid_choice_is_usage_error(self, sim_csv):
         with pytest.raises(SystemExit) as exc:
             main(["roll", sim_csv, "--test", "box"])

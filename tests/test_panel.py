@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ class TestLoadLong:
         assert "lines 2 and 4" in str(err.value)
         assert "2000-01-03" in str(err.value) and "'A'" in str(err.value)
 
+    def test_duplicate_names_earliest_repeat_not_first_in_date_order(self, tmp_path):
+        path = write(
+            tmp_path,
+            "date,instrument,return\n"
+            "2000-01-05,B,0.01\n"
+            "2000-01-03,A,0.02\n"
+            "2000-01-05,B,0.03\n"
+            "2000-01-03,A,0.04\n",
+        )
+        with pytest.raises(PanelError) as err:
+            load_panel(path)
+        assert str(err.value) == (
+            "duplicate (date, instrument) ('2000-01-05', 'B') at lines 2 and 4"
+        )
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(PanelError, match="empty file"):
             load_panel(write(tmp_path, ""))
@@ -146,6 +163,109 @@ class TestPanelInput:
                 instruments=np.array(["A", "A"], dtype=object),
                 returns=np.array([0.01, 0.02]),
             )
+
+
+    def test_empty_panel_constructs(self):
+        panel = PanelInput(
+            dates=np.array([], dtype="datetime64[D]"),
+            instruments=np.array([], dtype=object),
+            returns=np.array([]),
+        )
+        assert len(panel) == 0
+
+    def test_three_occurrences_name_earliest_repeat_and_first_row(self):
+        dates = np.array(
+            ["2000-01-04", "2000-01-03", "2000-01-04", "2000-01-03", "2000-01-04",
+             "2000-01-03"],
+            dtype="datetime64[D]",
+        )
+        instruments = np.array(["B", "A", "C", "A", "C", "A"], dtype=object)
+        with pytest.raises(PanelError) as err:
+            PanelInput(dates=dates, instruments=instruments, returns=np.zeros(6))
+        assert str(err.value) == (
+            "duplicate (date, instrument) (np.str_('2000-01-03'), 'A') "
+            "at rows 1 and 3"
+        )
+
+    def test_extreme_dates_and_nat_do_not_collide(self):
+        # Keyed on raw day numbers, NaT·2 wraps to 0 in int64: the key of
+        # (1970-01-01, A) with two instrument codes.
+        dates = np.array(
+            ["NaT", "1970-01-01", "9999-12-31", "0001-01-01", "NaT", "NaT"],
+            dtype="datetime64[D]",
+        )
+        instruments = np.array(["A", "A", "B", "A", "B", "A"], dtype=object)
+        PanelInput(dates=dates[:5], instruments=instruments[:5], returns=np.zeros(5))
+        with pytest.raises(PanelError, match="at rows 0 and 5"):
+            PanelInput(dates=dates, instruments=instruments, returns=np.zeros(6))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_duplicate_matches_row_by_row_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        dates = np.datetime64("2000-01-03") + rng.integers(0, 6, n)
+        instruments = rng.choice(np.array(["A", "B", "C", "D"], dtype=object), n)
+        seen, expected = {}, None
+        for i in range(n):
+            key = (dates[i], instruments[i])
+            if key in seen:
+                expected = f"at rows {seen[key]} and {i}"
+                break
+            seen[key] = i
+        if expected is None:
+            assert len(PanelInput(dates, instruments, np.zeros(n))) == n
+        else:
+            with pytest.raises(PanelError) as err:
+                PanelInput(dates, instruments, np.zeros(n))
+            assert str(err.value).endswith(expected)
+
+
+class TestWideLongAgree:
+    def test_same_panel_and_bit_identical_means(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        ids = [f"S{i:02d}" for i in range(12)]
+        dates = np.datetime64("2001-03-01") + np.arange(60)
+        values = rng.normal(0.0, 0.02, (len(dates), len(ids)))
+        present = rng.random(values.shape) > 0.25
+        wide = ["date," + ",".join(ids)]
+        long = ["date,instrument,return"]
+        for d, row, mask in zip(dates, values, present):
+            cells = [repr(float(v)) if m else "" for v, m in zip(row, mask)]
+            wide.append(",".join([str(d)] + cells))
+            long.extend(f"{d},{i},{float(v)!r}" for i, v, m in zip(ids, row, mask) if m)
+        from_wide = load_panel(write(tmp_path, "\n".join(wide) + "\n", "w.csv"), "wide")
+        from_long = load_panel(write(tmp_path, "\n".join(long) + "\n", "l.csv"), "long")
+        assert len(from_wide) == len(from_long) == int(present.sum())
+        assert np.array_equal(from_wide.dates, from_long.dates)
+        assert np.array_equal(from_wide.instruments, from_long.instruments)
+        assert np.array_equal(from_wide.returns, from_long.returns)
+        assert np.array_equal(from_wide.returns, values[present])
+        a = equal_weight_series(from_wide, "daily")
+        b = equal_weight_series(from_long, "daily")
+        assert np.array_equal(a.dates, b.dates)
+        assert np.array_equal(a.values, b.values)
+
+
+def test_wide_load_memory_is_bounded_per_cell(tmp_path):
+    rng = np.random.default_rng(8)
+    n_dates, n_ids = 1100, 100
+    values = rng.normal(0.0, 1.5, (n_dates, n_ids))
+    present = rng.random(values.shape) > 0.1
+    dates = np.datetime64("1990-01-01") + np.arange(n_dates)
+    lines = ["date," + ",".join(f"I{i:03d}" for i in range(n_ids))]
+    for d, row, mask in zip(dates, values, present):
+        cells = [repr(float(v)) if m else "" for v, m in zip(row, mask)]
+        lines.append(",".join([str(d)] + cells))
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        panel = load_panel(path, format="wide")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(panel) == int(present.sum())  # about 100k cells
+    assert peak / len(panel) <= 150
 
 
 class TestEqualWeightSeries:
