@@ -7,6 +7,13 @@ from the data by the AR(1) plug-in rule, and inference comes from a wild
 bootstrap that multiplies the observations by external mean-0 variance-1
 noise, re-running the full pipeline (bandwidth re-selection included) on
 every replication.
+
+The statistic is computed a block of autocorrelation rows at a time: one
+vectorized pass gives every row its own plug-in bandwidth, QS weights and
+kernel sum, with element-wise operations and row-wise sums only, so a
+row's value does not depend on the rows beside it. The observed statistic
+is a block of one row. The bootstrap fills blocks of ``_CHUNK_BYTES``,
+one replication per row, so working memory stays O(T) for long series.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ _QS_BANDWIDTH_CONST = 1.3221
 
 # Below this |6*pi*x/5| the closed form cancels badly; use its Taylor series.
 _QS_SMALL_Z = 0.05
+
+# Bytes of bootstrap autocorrelations per chunk: 32 replications at T = 250,
+# 15 at T = 520, one at T >= 8192, so working memory stays O(T).
+_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -45,39 +56,63 @@ def qs_kernel(x):
     m(x) = 3/z^2 * (sin z / z - cos z) with z = 6*pi*x/5, and m(0) = 1 by
     the analytic limit. Even in x, peak value 1 at the origin.
     """
-    x_arr = np.asarray(x, dtype=np.float64)
-    z = 1.2 * np.pi * x_arr
+    z = 1.2 * np.pi * np.atleast_1d(np.asarray(x, dtype=np.float64))
     z2 = z * z
-    out = np.empty_like(z)
     small = np.abs(z) < _QS_SMALL_Z
-    zs2 = z2[small]
-    out[small] = 1.0 - zs2 / 10.0 + zs2 * zs2 / 280.0 - zs2**3 / 15120.0
-    zb = z[~small]
-    out[~small] = 3.0 / (zb * zb) * (np.sin(zb) / zb - np.cos(zb))
+    # The closed form runs on every element, the few small ones included
+    # (z = 0 gives nan there), and the Taylor series overwrites those.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 3.0 / z2 * (np.sin(z) / z - np.cos(z))
+    if small.any():
+        zs2 = z2[small]
+        out[small] = 1.0 - zs2 / 10.0 + zs2 * zs2 / 280.0 - zs2**3 / 15120.0
     if np.ndim(x) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
-def _bandwidth_from_rho1(rho1: float, n_obs: int) -> float:
-    """AR(1) plug-in bandwidth; floored at 1 when smaller or non-finite."""
-    denominator = (1.0 - rho1) ** 4
-    alpha = math.inf if denominator == 0.0 else 4.0 * rho1**2 / denominator
-    k = _QS_BANDWIDTH_CONST * (alpha * n_obs) ** 0.2
-    if not math.isfinite(k) or k < 1.0:
-        return 1.0
+def _bandwidth_from_rho1(rho1, n_obs: int):
+    """AR(1) plug-in bandwidth; floored at 1 when smaller or non-finite.
+
+    Vectorizes over an array of lag-1 autocorrelations; a scalar gives a
+    float, computed by the same array arithmetic.
+    """
+    r = np.atleast_1d(np.asarray(rho1, dtype=np.float64))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha = 4.0 * r**2 / (1.0 - r) ** 4
+        k = _QS_BANDWIDTH_CONST * (alpha * n_obs) ** 0.2
+    k[~(np.isfinite(k) & (k >= 1.0))] = 1.0
+    if np.ndim(rho1) == 0:
+        return float(k[0])
     return k
+
+
+def _variance_ratios(rho: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
+    """1 + 2 sum_i m(i/k) rho(i) for each row of a (rows, T-1) block.
+
+    Element-wise products and a row-wise ``sum(axis=1)``, never a matrix
+    product, so a row's value does not depend on the rows beside it.
+    """
+    lags = np.arange(1, rho.shape[1] + 1, dtype=np.float64)
+    return 1.0 + 2.0 * (qs_kernel(lags / bandwidth[:, None]) * rho).sum(axis=1)
+
+
+def _chunk_statistics(rho: np.ndarray, n_obs: int):
+    """(statistic, vr, bandwidth) arrays for a (rows, T-1) autocorrelation block.
+
+    Each row re-selects its own plug-in bandwidth.
+    """
+    bandwidth = _bandwidth_from_rho1(rho[:, 0], n_obs)
+    vr = _variance_ratios(rho, bandwidth)
+    statistic = np.sqrt(n_obs / bandwidth) * (vr - 1.0) / math.sqrt(2.0)
+    return statistic, vr, bandwidth
 
 
 def _pipeline(values: np.ndarray) -> tuple[float, float, float]:
     """(statistic, vr, bandwidth) of the full automatic pipeline on raw values."""
-    T = len(values)
     rho = autocorrelations(values)
-    bandwidth = _bandwidth_from_rho1(float(rho[0]), T)
-    weights = qs_kernel(np.arange(1, T, dtype=np.float64) / bandwidth)
-    vr = 1.0 + 2.0 * float(weights @ rho)
-    statistic = math.sqrt(T / bandwidth) * (vr - 1.0) / math.sqrt(2.0)
-    return statistic, vr, bandwidth
+    statistic, vr, bandwidth = _chunk_statistics(rho[None, :], len(values))
+    return float(statistic[0]), float(vr[0]), float(bandwidth[0])
 
 
 def variance_ratio(series: ReturnSeries, k: float) -> float:
@@ -88,8 +123,7 @@ def variance_ratio(series: ReturnSeries, k: float) -> float:
     if not (np.isfinite(k) and k > 0):
         raise ValueError(f"holding period k must be positive, got {k}")
     rho = autocorrelations(series.values)
-    weights = qs_kernel(np.arange(1, T, dtype=np.float64) / k)
-    return 1.0 + 2.0 * float(weights @ rho)
+    return float(_variance_ratios(rho[None, :], np.array([k], dtype=np.float64))[0])
 
 
 def auto_bandwidth(series: ReturnSeries) -> float:
@@ -116,21 +150,30 @@ def avr_test(
 
     Each replication j multiplies the series by fresh noise from
     ``substream(boot.seed, AVR_DOMAIN, j)`` and recomputes the entire
-    pipeline, bandwidth re-selection included. The two-sided p-value uses the
-    add-one rule; the band is the 2.5/97.5 percentile pair of the bootstrap
-    statistics. Replications run one after another: ``workers`` is accepted
-    for a stable API but ignored, because only rolling windows run in
-    parallel (``run_rolling``).
+    pipeline, bandwidth re-selection included. Replications run in chunks
+    of ``_CHUNK_BYTES // (8 (T-1))`` rows (at least one): the noise and the
+    autocorrelations are computed one replication at a time, then one
+    vectorized pass gives the chunk's bandwidths, QS weights and statistics.
+    A replication's statistic is bit-identical whatever chunk it falls in.
+    The two-sided p-value uses the add-one rule; the band is the 2.5/97.5
+    percentile pair of the bootstrap statistics. ``workers`` is accepted for
+    a stable API but ignored, because only rolling windows run in parallel
+    (``run_rolling``).
     """
     T = len(series)
     if T < 4:
         raise ValueError(f"need at least 4 observations, got {T}")
     values = series.values
     statistic, vr, bandwidth = _pipeline(values)
+    rows = min(boot.n_boot, max(1, _CHUNK_BYTES // (8 * (T - 1))))
+    rho = np.empty((rows, T - 1))
     boot_stats = np.empty(boot.n_boot)
-    for j in range(boot.n_boot):
-        eta = draw_multipliers(substream(boot.seed, AVR_DOMAIN, j), boot.multiplier, T)
-        boot_stats[j] = _pipeline(eta * values)[0]
+    for start in range(0, boot.n_boot, rows):
+        stop = min(start + rows, boot.n_boot)
+        for i, j in enumerate(range(start, stop)):
+            eta = draw_multipliers(substream(boot.seed, AVR_DOMAIN, j), boot.multiplier, T)
+            rho[i] = autocorrelations(eta * values)
+        boot_stats[start:stop] = _chunk_statistics(rho[: stop - start], T)[0]
     exceed = int(np.sum(np.abs(boot_stats) >= abs(statistic)))
     p_value = (1.0 + exceed) / (boot.n_boot + 1.0)
     ci_low, ci_high = np.percentile(boot_stats, [2.5, 97.5])

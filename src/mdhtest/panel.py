@@ -3,16 +3,18 @@
 Input is a per-instrument return panel, either long form
 (``date,instrument,return``) or wide form (``date`` plus one column per
 instrument, blank cells meaning the instrument has no observation that
-date). Validation is strict and every error carries the offending file
-line number; missing observations stay missing and are never zero-filled.
+date). Validation is strict and every error names the file line where the
+offending record starts (a quoted field may span lines); missing
+observations stay missing and are never zero-filled.
 
 Ingest is one streamed pass over the CSV reader: the file is never held as
 a list of rows. Wide rows are parsed into a (dates x instruments) float
 matrix with NaN for blank cells, and the long-form arrays come from its
 present cells in one vectorized step, date-major and in column order.
 Repeated (date, instrument) pairs are found once, vectorized, by
-``PanelInput`` itself; the long loader maps the rows it reports back to
-file lines.
+``PanelInput`` itself. The loaders locate faults by record index, and only
+an error reads the file again to turn records into lines, so a clean load
+keeps no line numbers.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date as _date
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +34,22 @@ FORMATS = ("long", "wide")
 
 class PanelError(ValueError):
     """Malformed panel input: parse failure or invariant violation."""
+
+
+class _RecordError(PanelError):
+    """A fault in the data records ``records`` (0-based, header excluded).
+
+    ``load_panel`` names the file lines where those records start.
+    """
+
+    def __init__(self, message: str, records: tuple):
+        super().__init__(message)
+        self.records = records
+
+    def at_lines(self, lines: list) -> str:
+        if len(lines) == 1:
+            return f"line {lines[0]}: {self}"
+        return f"{self} at lines {lines[0]} and {lines[1]}"
 
 
 class _DuplicatePair(PanelError):
@@ -102,20 +121,20 @@ class PanelInput:
         return len(self.returns)
 
 
-def _parse_date(text: str, line: int) -> _date:
+def _parse_date(text: str, record: int) -> _date:
     try:
         return _date.fromisoformat(text.strip())
     except ValueError:
-        raise PanelError(f"line {line}: invalid ISO-8601 date {text!r}") from None
+        raise _RecordError(f"invalid ISO-8601 date {text!r}", (record,)) from None
 
 
-def _parse_return(text: str, line: int) -> float:
+def _parse_return(text: str, record: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise PanelError(f"line {line}: invalid return {text!r}") from None
+        raise _RecordError(f"invalid return {text!r}", (record,)) from None
     if not math.isfinite(value):
-        raise PanelError(f"line {line}: non-finite return {text!r}")
+        raise _RecordError(f"non-finite return {text!r}", (record,))
     return value
 
 
@@ -136,6 +155,22 @@ def _undecodable_line(path: str) -> int:
     return number
 
 
+def _record_lines(path: str, records: tuple) -> list:
+    """File lines where the data records ``records`` (0-based) start.
+
+    A quoted field may span lines, so a record's line is not its index + 2.
+    Only error paths need it, so the file is read again up to the last of
+    ``records`` rather than a line number being kept for every row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        starts = [reader.line_num + 1]
+        for _ in islice(reader, max(records)):
+            starts.append(reader.line_num + 1)
+    return [starts[r] for r in records]
+
+
 def load_panel(path: str, format: str = "long") -> PanelInput:
     """Read and validate a CSV panel in one streamed pass.
 
@@ -152,6 +187,8 @@ def load_panel(path: str, format: str = "long") -> PanelInput:
             if header is None:
                 raise PanelError(f"{path}: empty file")
             return load(path, [c.strip() for c in header], reader)
+    except _RecordError as exc:
+        raise PanelError(exc.at_lines(_record_lines(path, exc.records))) from None
     except csv.Error as exc:
         raise PanelError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -169,15 +206,15 @@ def _load_long(path, header, reader) -> PanelInput:
             f"got {','.join(header)}"
         )
     days, instruments, returns = [], [], []
-    for line, row in enumerate(reader, start=2):
+    for record, row in enumerate(reader):
         if len(row) != 3:
-            raise PanelError(f"line {line}: expected 3 fields, got {len(row)}")
-        days.append(_parse_date(row[0], line).toordinal())
+            raise _RecordError(f"expected 3 fields, got {len(row)}", (record,))
+        days.append(_parse_date(row[0], record).toordinal())
         instrument = row[1].strip()
         if not instrument:
-            raise PanelError(f"line {line}: empty instrument id")
+            raise _RecordError("empty instrument id", (record,))
         instruments.append(instrument)
-        returns.append(_parse_return(row[2], line))
+        returns.append(_parse_return(row[2], record))
     try:
         return PanelInput(
             dates=_dates(days),
@@ -185,11 +222,9 @@ def _load_long(path, header, reader) -> PanelInput:
             returns=np.array(returns, dtype=np.float64),
         )
     except _DuplicatePair as dup:
-        first, second = dup.rows
+        second = dup.rows[1]
         key = (_date.fromordinal(days[second]).isoformat(), instruments[second])
-        raise PanelError(
-            f"duplicate (date, instrument) {key} at lines {first + 2} and {second + 2}"
-        ) from None
+        raise _RecordError(f"duplicate (date, instrument) {key}", dup.rows) from None
 
 
 def _load_wide(path, header, reader) -> PanelInput:
@@ -204,20 +239,20 @@ def _load_wide(path, header, reader) -> PanelInput:
         dupes = sorted({c for c in ids if ids.count(c) > 1})
         raise PanelError(f"{path}: duplicate instrument columns {dupes}")
     days, cells, seen = [], [], {}
-    for line, row in enumerate(reader, start=2):
+    for record, row in enumerate(reader):
         if len(row) != len(header):
-            raise PanelError(
-                f"line {line}: expected {len(header)} fields, got {len(row)}"
+            raise _RecordError(
+                f"expected {len(header)} fields, got {len(row)}", (record,)
             )
-        day = _parse_date(row[0], line)
+        day = _parse_date(row[0], record)
         if day in seen:
-            raise PanelError(f"duplicate date {day} at lines {seen[day]} and {line}")
-        seen[day] = line
+            raise _RecordError(f"duplicate date {day}", (seen[day], record))
+        seen[day] = record
         days.append(day.toordinal())
         # A blank cell is an explicit absence, never zero-filled: it stays
         # NaN here (no parsed return can be NaN) and is dropped below.
         cells.append(np.array(
-            [_parse_return(c, line) if c.strip() else math.nan for c in row[1:]]
+            [_parse_return(c, record) if c.strip() else math.nan for c in row[1:]]
         ))
     matrix = np.array(cells, dtype=np.float64).reshape(len(cells), len(ids))
     del cells

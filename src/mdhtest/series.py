@@ -180,7 +180,10 @@ def autocorrelations(values: np.ndarray, max_lag: int | None = None) -> np.ndarr
         raise ValueError(f"max_lag must be in [1, {T - 1}], got {max_lag}")
     d, den = _demeaned(values)
     if T <= _DIRECT_ACV_LIMIT:
-        acv = np.correlate(d, d, mode="full")[T - 1 :]
+        # Only the lags 0..max_lag: one length-T dot product each, d against
+        # its zero-padded shift, not the 2T-1 of a full correlation.
+        padded = np.concatenate((d, np.zeros(max_lag)))
+        acv = np.correlate(padded, d, mode="valid")
     else:
         n = _fast_len(2 * T - 1)
         spec = np.fft.rfft(d, n)

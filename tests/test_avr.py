@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mdhtest import (
     qs_kernel,
     variance_ratio,
 )
-from mdhtest.avr import _bandwidth_from_rho1, _pipeline
+from mdhtest.avr import _CHUNK_BYTES, _bandwidth_from_rho1, _pipeline
 from mdhtest.bootstrap import AVR_DOMAIN, draw_multipliers, substream
 from conftest import make_series
 from reference import ref_avr_statistic, ref_qs_kernel, random_series_values
@@ -65,6 +66,16 @@ class TestBandwidth:
     def test_floor_at_one(self):
         assert _bandwidth_from_rho1(0.0, 1000) == 1.0
         assert _bandwidth_from_rho1(1.0, 1000) == 1.0  # non-finite plug-in
+
+    def test_array_matches_scalar_elementwise(self):
+        near_one = [1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 1e-15, np.nextafter(1.0, 0.0)]
+        rho1 = np.array([0.0, 0.5, -0.9, 1.0, *near_one])
+        for n_obs in (4, 250, 1000):
+            got = _bandwidth_from_rho1(rho1, n_obs)
+            assert isinstance(got, np.ndarray) and got.shape == rho1.shape
+            assert got.tolist() == [_bandwidth_from_rho1(float(r), n_obs) for r in rho1]
+            assert got[0] == got[3] == 1.0  # the floor and the non-finite plug-in
+            assert np.all(np.isfinite(got[4:])) and np.all(got[4:] > 1.0)
 
     def test_auto_bandwidth_affine_invariant(self):
         values = random_series_values(np.random.default_rng(11), 200)
@@ -129,28 +140,52 @@ class TestAvrTest:
         assert a == b == c
 
     def test_matches_manual_bootstrap_reconstruction(self):
-        values = random_series_values(np.random.default_rng(16), 90)
-        s = make_series(values)
-        boot = BootstrapConfig(n_boot=37, multiplier="mammen", seed=5)
-        out = avr_test(s, boot)
-        stat, vr, bw = _pipeline(values)
-        boot_stats = np.empty(boot.n_boot)
-        for j in range(boot.n_boot):
-            rng = substream(boot.seed, AVR_DOMAIN, j)
-            eta = draw_multipliers(rng, boot.multiplier, len(values))
-            boot_stats[j], _, _ = _pipeline(eta * values)
-        exceed = int(np.sum(np.abs(boot_stats) >= abs(stat)))
-        ci_low, ci_high = np.percentile(boot_stats, [2.5, 97.5])
-        want = AvrOutcome(
-            statistic=stat,
-            vr=vr,
-            bandwidth=bw,
-            p_value=(1.0 + exceed) / (boot.n_boot + 1.0),
-            ci_low=float(ci_low),
-            ci_high=float(ci_high),
-            n_boot=boot.n_boot,
-        )
-        assert out == want
+        # Replications run in chunks of _CHUNK_BYTES // (8 (T-1)) rows; one at
+        # a time here. Exact equality shows a replication's value does not
+        # depend on its chunk: B = 2 chunks + 1 ends in a one-row chunk, for
+        # the direct (T = 90, 600) and FFT (T = 2100) autocorrelations.
+        cases = [(90, 37, "mammen", 5)]  # within one chunk
+        for law in ("normal", "rademacher", "mammen"):
+            cases.append((90, 1, law, 6))
+            for T in (90, 600, 2100):
+                cases.append((T, 2 * (_CHUNK_BYTES // (8 * (T - 1))) + 1, law, 7))
+        for T, n_boot, law, seed in cases:
+            values = random_series_values(np.random.default_rng(16), T)
+            s = make_series(values)
+            boot = BootstrapConfig(n_boot=n_boot, multiplier=law, seed=seed)
+            out = avr_test(s, boot)
+            stat, vr, bw = _pipeline(values)
+            boot_stats = np.empty(boot.n_boot)
+            for j in range(boot.n_boot):
+                rng = substream(boot.seed, AVR_DOMAIN, j)
+                eta = draw_multipliers(rng, boot.multiplier, len(values))
+                boot_stats[j], _, _ = _pipeline(eta * values)
+            exceed = int(np.sum(np.abs(boot_stats) >= abs(stat)))
+            ci_low, ci_high = np.percentile(boot_stats, [2.5, 97.5])
+            want = AvrOutcome(
+                statistic=stat,
+                vr=vr,
+                bandwidth=bw,
+                p_value=(1.0 + exceed) / (boot.n_boot + 1.0),
+                ci_low=float(ci_low),
+                ci_high=float(ci_high),
+                n_boot=boot.n_boot,
+            )
+            assert out == want, (T, n_boot, law)
+
+    def test_long_series_bounded_memory(self):
+        # one chunk of 32 replications would hold 32 x 10 000 autocorrelations
+        # and their kernel temporaries, over 20 MB; the byte budget keeps one
+        s = make_series(random_series_values(np.random.default_rng(39), 10_000))
+        tracemalloc.start()
+        try:
+            out = avr_test(s, BootstrapConfig(n_boot=39, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert 0.0 < out.p_value <= 1.0
+        assert out.ci_low <= out.ci_high
 
     def test_p_value_grid_and_range(self):
         s = make_series(random_series_values(np.random.default_rng(17), 60))

@@ -92,6 +92,28 @@ class TestLoadLong:
             "duplicate (date, instrument) ('2000-01-05', 'B') at lines 2 and 4"
         )
 
+    def test_parse_error_after_multiline_field_names_physical_line(self, tmp_path):
+        path = write(
+            tmp_path,
+            'date,instrument,return\n2000-01-03,"A\nB",0.01\n2000-01-04,A,oops\n',
+        )
+        with pytest.raises(PanelError, match="^line 4: invalid return 'oops'$"):
+            load_panel(path)
+
+    def test_duplicate_after_multiline_field_names_physical_lines(self, tmp_path):
+        path = write(
+            tmp_path,
+            "date,instrument,return\n"
+            "2000-01-03,A,0.01\n"
+            '2000-01-03,"B\n\nC",0.02\n'
+            "2000-01-03,A,0.05\n",
+        )
+        with pytest.raises(PanelError) as err:
+            load_panel(path)
+        assert str(err.value) == (
+            "duplicate (date, instrument) ('2000-01-03', 'A') at lines 2 and 6"
+        )
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(PanelError, match="empty file"):
             load_panel(write(tmp_path, ""))
@@ -141,6 +163,14 @@ class TestLoadWide:
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "date,A,B\n2000-01-03,0.01\n")
         with pytest.raises(PanelError, match="line 2: expected 3 fields, got 2"):
+            load_panel(path, format="wide")
+
+    def test_parse_error_after_multiline_field_names_physical_line(self, tmp_path):
+        # a quoted blank cell spanning two lines is still a blank cell
+        path = write(
+            tmp_path, 'date,A,B\n2000-01-03,0.01,"\n"\n2000-01-04,0.02,oops\n'
+        )
+        with pytest.raises(PanelError, match="^line 4: invalid return 'oops'$"):
             load_panel(path, format="wide")
 
 
