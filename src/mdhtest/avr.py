@@ -143,9 +143,7 @@ def avr_statistic(series: ReturnSeries) -> tuple[float, float, float]:
     return _pipeline(series.values)
 
 
-def avr_test(
-    series: ReturnSeries, boot: BootstrapConfig, workers: int = 1
-) -> AvrOutcome:
+def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
     """AVR test with wild-bootstrap p-value and confidence band.
 
     Each replication j multiplies the series by fresh noise from
@@ -156,9 +154,7 @@ def avr_test(
     vectorized pass gives the chunk's bandwidths, QS weights and statistics.
     A replication's statistic is bit-identical whatever chunk it falls in.
     The two-sided p-value uses the add-one rule; the band is the 2.5/97.5
-    percentile pair of the bootstrap statistics. ``workers`` is accepted for
-    a stable API but ignored, because only rolling windows run in parallel
-    (``run_rolling``).
+    percentile pair of the bootstrap statistics.
     """
     T = len(series)
     if T < 4:

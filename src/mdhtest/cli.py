@@ -4,7 +4,7 @@ Machine-readable results go to stdout (or --out atomically); progress and
 human-readable summaries go to stderr. All floating-point output uses 17
 significant digits so every emitted number round-trips exactly. Runs with
 the same flags and seed produce byte-identical output regardless of
---workers.
+roll --workers.
 """
 
 from __future__ import annotations
@@ -81,7 +81,22 @@ def _boot_config(args) -> BootstrapConfig:
 def _max_lag(text: str):
     if text == "full":
         return "full"
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'full', got {text!r}"
+        ) from None
+
+
+def _workers(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -102,11 +117,6 @@ def _add_boot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--eta", choices=MULTIPLIERS, default="normal",
         help="wild-bootstrap multiplier law (default: normal)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="threads that run rolling windows in parallel (roll only; "
-        "avr and gs accept it and run on one thread)",
     )
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -144,6 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--step-years", type=int, default=1)
     p.add_argument("--min-obs", type=int, default=30)
+    p.add_argument(
+        "--workers", type=_workers, default=1,
+        help="threads that run windows in parallel (default: 1)",
+    )
     _add_boot_args(p)
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic series")
@@ -186,7 +200,7 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_avr(args) -> int:
-    outcome = avr_test(_load_series(args), _boot_config(args), workers=args.workers)
+    outcome = avr_test(_load_series(args), _boot_config(args))
     _emit(
         _render_json(
             [
@@ -214,10 +228,7 @@ def _cmd_avr(args) -> int:
 
 def _cmd_gs(args) -> int:
     series = _load_series(args)
-    outcome = gs_test(
-        series, _boot_config(args),
-        max_lag=args.max_lag, workers=args.workers,
-    )
+    outcome = gs_test(series, _boot_config(args), max_lag=args.max_lag)
     if outcome.max_lag_used < len(series) - 1:
         bound = truncation_bound(series, outcome.max_lag_used)
         print(

@@ -283,7 +283,6 @@ def gs_test(
     series: ReturnSeries,
     boot: BootstrapConfig,
     max_lag="full",
-    workers: int = 1,
 ) -> GsOutcome:
     """GS test with wild-bootstrap p-value (right-tailed; D^2 is a norm).
 
@@ -291,9 +290,6 @@ def gs_test(
     ``substream(boot.seed, GS_DOMAIN, j)`` -- one multiplier per time index,
     shared across lags -- then re-centers per lag, while the Gram factor of
     the original conditioning values stays fixed (see module docstring).
-    ``workers`` is accepted for a stable API but ignored: replications run
-    in batches on one thread, and only rolling windows run in parallel
-    (``run_rolling``).
     """
     values = _check_series(series)
     J = _resolve_max_lag(len(values), max_lag)

@@ -188,7 +188,8 @@ def load_panel(path: str, format: str = "long") -> PanelInput:
                 raise PanelError(f"{path}: empty file")
             return load(path, [c.strip() for c in header], reader)
     except _RecordError as exc:
-        raise PanelError(exc.at_lines(_record_lines(path, exc.records))) from None
+        lines = _record_lines(path, exc.records)
+        raise PanelError(f"{path}: {exc.at_lines(lines)}") from None
     except csv.Error as exc:
         raise PanelError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -128,12 +128,15 @@ def run_rolling(
 ) -> RollingResult:
     """Apply one test per window; thin or degenerate windows become markers.
 
-    Window w's bootstrap seed is ``derive_seed(boot.seed, WINDOW_DOMAIN, w)``,
-    so the full result depends only on (series, spec, test, boot), not on
-    scheduling or ``workers``.
+    ``workers`` threads (at least 1) run the windows. Window w's bootstrap
+    seed is ``derive_seed(boot.seed, WINDOW_DOMAIN, w)``, so the full result
+    depends only on (series, spec, test, boot), not on scheduling or
+    ``workers``.
     """
     if test not in TESTS:
         raise ValueError(f"test must be one of {TESTS}, got {test!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     windows = make_windows(series, spec)
 
     def one_window(w: int) -> WindowResult:
@@ -167,7 +170,7 @@ def run_rolling(
             start=win.start, end=win.end, n_obs=n, outcome=outcome, skip_reason=None
         )
 
-    if workers <= 1:
+    if workers == 1:
         results = [one_window(w) for w in range(len(windows))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

