@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import AVR_DOMAIN, BootstrapConfig, draw_multipliers, substream
-from .series import ReturnSeries, autocorrelations
+from .series import ReturnSeries, _checked, autocorrelations
 
 # AR(1) plug-in constant for the quadratic spectral kernel.
 _QS_BANDWIDTH_CONST = 1.3221
@@ -117,30 +117,23 @@ def _pipeline(values: np.ndarray) -> tuple[float, float, float]:
 
 def variance_ratio(series: ReturnSeries, k: float) -> float:
     """Kernel-weighted variance ratio VR(k) over all T-1 lags, no truncation."""
-    T = len(series)
-    if T < 4:
-        raise ValueError(f"need at least 4 observations, got {T}")
+    values = _checked(series.values, 4)
     if not (np.isfinite(k) and k > 0):
         raise ValueError(f"holding period k must be positive, got {k}")
-    rho = autocorrelations(series.values)
+    rho = autocorrelations(values)
     return float(_variance_ratios(rho[None, :], np.array([k], dtype=np.float64))[0])
 
 
 def auto_bandwidth(series: ReturnSeries) -> float:
     """Data-dependent bandwidth k-hat from the lag-1 autocorrelation."""
-    T = len(series)
-    if T < 4:
-        raise ValueError(f"need at least 4 observations, got {T}")
-    rho1 = float(autocorrelations(series.values, max_lag=1)[0])
-    return _bandwidth_from_rho1(rho1, T)
+    values = _checked(series.values, 4)
+    rho1 = float(autocorrelations(values, max_lag=1)[0])
+    return _bandwidth_from_rho1(rho1, len(values))
 
 
 def avr_statistic(series: ReturnSeries) -> tuple[float, float, float]:
     """(statistic, vr, bandwidth) with the automatic bandwidth choice."""
-    T = len(series)
-    if T < 4:
-        raise ValueError(f"need at least 4 observations, got {T}")
-    return _pipeline(series.values)
+    return _pipeline(_checked(series.values, 4))
 
 
 def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
@@ -156,10 +149,8 @@ def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
     The two-sided p-value uses the add-one rule; the band is the 2.5/97.5
     percentile pair of the bootstrap statistics.
     """
-    T = len(series)
-    if T < 4:
-        raise ValueError(f"need at least 4 observations, got {T}")
-    values = series.values
+    values = _checked(series.values, 4)
+    T = len(values)
     statistic, vr, bandwidth = _pipeline(values)
     rows = min(boot.n_boot, max(1, _CHUNK_BYTES // (8 * (T - 1))))
     rho = np.empty((rows, T - 1))

@@ -69,9 +69,8 @@ def _emit(text: str, out_path) -> None:
         raise
 
 
-def _load_series(args):
-    panel = load_panel(args.input, args.format)
-    return equal_weight_series(panel, args.frequency)
+def _load_series(args, frequency="daily"):
+    return equal_weight_series(load_panel(args.input, args.format), frequency)
 
 
 def _boot_config(args) -> BootstrapConfig:
@@ -104,10 +103,6 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=FORMATS, default="long",
         help="input layout (default: long)",
-    )
-    p.add_argument(
-        "--frequency", choices=FREQUENCIES, default="daily",
-        help="sampling frequency of the input (default: daily)",
     )
 
 
@@ -147,6 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roll", help="rolling-window test over calendar years")
     _add_input_args(p)
+    p.add_argument(
+        "--frequency", choices=FREQUENCIES, default="daily",
+        help="input frequency, for the default --window-years (default: daily)",
+    )
     p.add_argument("--test", choices=TESTS, required=True)
     p.add_argument(
         "--window-years", type=int, default=None,
@@ -259,7 +258,7 @@ def _cmd_gs(args) -> int:
 
 
 def _cmd_roll(args) -> int:
-    series = _load_series(args)
+    series = _load_series(args, args.frequency)
     if args.window_years is None:
         base = WindowSpec.for_frequency(args.frequency)
         window_years = base.window_years

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import GS_DOMAIN, BootstrapConfig, draw_multipliers, substream
-from .series import DegenerateSeriesError, ReturnSeries, _fast_len
+from .series import ReturnSeries, _checked, _fast_len
 
 # Certified error of the Gram factor, relative to the statistic.
 _REL_TOL = 1e-12
@@ -111,15 +111,6 @@ def _resolve_max_lag(T: int, max_lag) -> int:
     if not 1 <= j <= T - 1:
         raise ValueError(f"max_lag must be in [1, {T - 1}] or 'full', got {max_lag}")
     return j
-
-
-def _check_series(series: ReturnSeries) -> np.ndarray:
-    values = series.values
-    if len(values) < 2:
-        raise ValueError(f"need at least 2 observations, got {len(values)}")
-    if np.ptp(values) == 0.0:
-        raise DegenerateSeriesError("degenerate series: zero sample variance")
-    return values
 
 
 def _suffix_sums(a: np.ndarray, J: int) -> np.ndarray:
@@ -193,7 +184,7 @@ def gs_statistic(series: ReturnSeries, max_lag="full") -> float:
     observations. Per-lag terms are each nonnegative sums of squares, and
     are combined with exact summation.
     """
-    values = _check_series(series)
+    values = _checked(series.values, 2)
     return _fit(values, _resolve_max_lag(len(values), max_lag)).statistic
 
 
@@ -203,7 +194,7 @@ def truncation_bound(series: ReturnSeries, max_lag) -> float:
     Bounds each omitted lag term by gamma_j * (sum_t |e_t^(j)|)^2, using
     that every Gram entry lies in (0, 1].
     """
-    values = _check_series(series)
+    values = _checked(series.values, 2)
     T = len(values)
     J = _resolve_max_lag(T, max_lag)
     bound = 0.0
@@ -291,7 +282,7 @@ def gs_test(
     shared across lags -- then re-centers per lag, while the Gram factor of
     the original conditioning values stays fixed (see module docstring).
     """
-    values = _check_series(series)
+    values = _checked(series.values, 2)
     J = _resolve_max_lag(len(values), max_lag)
     fit = _fit(values, J)
     boot_stats = _replications(fit, boot)

@@ -162,7 +162,7 @@ def _record_lines(path: str, records: tuple) -> list:
     Only error paths need it, so the file is read again up to the last of
     ``records`` rather than a line number being kept for every row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         starts = [reader.line_num + 1]
@@ -181,7 +181,7 @@ def load_panel(path: str, format: str = "long") -> PanelInput:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     load = _load_long if format == "long" else _load_wide
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -335,6 +335,9 @@ class TestErrorHandling:
              "expected a positive integer, got '0'"),
             (["avr", sim_csv, "--workers", "1"], "unrecognized arguments"),
             (["gs", sim_csv, "--workers", "1"], "unrecognized arguments"),
+            (["describe", sim_csv, "--frequency", "weekly"], "unrecognized arguments"),
+            (["avr", sim_csv, "--frequency", "weekly"], "unrecognized arguments"),
+            (["gs", sim_csv, "--frequency", "weekly"], "unrecognized arguments"),
             (["gs", sim_csv, "--max-lag", "abc"],
              "expected an integer or 'full', got 'abc'"),
         ]:

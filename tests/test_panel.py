@@ -176,6 +176,36 @@ class TestLoadWide:
         assert str(err.value) == f"{path}: line 4: invalid return 'oops'"
 
 
+class TestByteOrderMark:
+    """A UTF-8 BOM, as spreadsheet exports write it, is not part of the header."""
+
+    def test_same_series_with_and_without_bom(self, tmp_path):
+        for text, layout in ((LONG, "long"), (WIDE, "wide")):
+            plain = equal_weight_series(
+                load_panel(write(tmp_path, text, "plain.csv"), layout), "daily"
+            )
+            marked = equal_weight_series(
+                load_panel(write(tmp_path, "\ufeff" + text, "bom.csv"), layout), "daily"
+            )
+            assert np.array_equal(plain.dates, marked.dates)
+            assert np.array_equal(plain.values, marked.values)
+
+    def test_parse_error_names_same_line(self, tmp_path):
+        for text, layout in (
+            ('date,instrument,return\n2000-01-03,"A\nB",0.01\n2000-01-04,A,oops\n', "long"),
+            ("date,instrument,return\n2000-01-03,A,0.01\n2000-01-03,A,0.02\n", "long"),
+            ('date,A,B\n2000-01-03,0.01,"\n"\n2000-01-04,0.02,oops\n', "wide"),
+        ):
+            messages = []
+            for name, prefix in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+                path = write(tmp_path, prefix + text, name)
+                with pytest.raises(PanelError) as err:
+                    load_panel(path, layout)
+                messages.append(str(err.value).replace(path, "<path>"))
+            assert messages[0] == messages[1]
+            assert "line" in messages[0]
+
+
 class TestPanelInput:
     def test_is_value_error(self):
         assert issubclass(PanelError, ValueError)

@@ -147,20 +147,22 @@ class TestRunRolling:
         d1 = np.datetime64("2001-02-01") + np.arange(40)
         d2 = np.datetime64("2002-02-01") + np.arange(60)
         rng = np.random.default_rng(11)
-        values = np.concatenate(
-            [rng.standard_normal(60) * 0.01, np.full(40, 0.004), rng.standard_normal(60) * 0.01]
-        )
-        s = ReturnSeries(
-            values=values, dates=np.concatenate([d0, d1, d2]), frequency="daily"
-        )
-        for test in ("avr", "gs"):
-            res = run_rolling(
-                s, WindowSpec(window_years=1), test, BootstrapConfig(n_boot=19, seed=0)
+        noise = rng.standard_normal(60) * 0.01, rng.standard_normal(60) * 0.01
+        # the mean of 40 x 0.013 does not round to 0.013, so the flat
+        # window's centered values are not all zero
+        for level in (0.004, 0.013):
+            values = np.concatenate([noise[0], np.full(40, level), noise[1]])
+            s = ReturnSeries(
+                values=values, dates=np.concatenate([d0, d1, d2]), frequency="daily"
             )
-            flat = res.windows[1]
-            assert flat.outcome is None
-            assert flat.skip_reason == "degenerate series: zero sample variance"
-            assert res.windows[0].outcome is not None
+            for test in ("avr", "gs"):
+                res = run_rolling(
+                    s, WindowSpec(window_years=1), test, BootstrapConfig(n_boot=19, seed=0)
+                )
+                flat = res.windows[1]
+                assert flat.outcome is None, (level, test)
+                assert flat.skip_reason == "degenerate series: zero sample variance"
+                assert res.windows[0].outcome is not None
 
     def test_per_window_seeds_reconstructable(self):
         s = daily_series("2000-01-03", 3 * 365, np.random.default_rng(12))

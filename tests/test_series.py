@@ -6,12 +6,20 @@ from scipy.fft import next_fast_len
 from scipy.stats import chi2
 
 from mdhtest import (
+    BootstrapConfig,
     DegenerateSeriesError,
     ReturnSeries,
+    auto_bandwidth,
     autocorr,
     autocorrelations,
+    avr_statistic,
+    avr_test,
     describe,
+    gs_statistic,
+    gs_test,
     jarque_bera_from_moments,
+    truncation_bound,
+    variance_ratio,
 )
 from mdhtest.series import _fast_len
 from conftest import make_series
@@ -91,8 +99,10 @@ class TestDescribe:
             describe(make_series([0.1, 0.2, 0.3]))
 
     def test_degenerate_series_rejected(self):
-        with pytest.raises(DegenerateSeriesError):
-            describe(make_series([0.5] * 10))
+        # the mean of 10 x 0.3 does not round to 0.3
+        for values in ([0.5] * 10, [0.3] * 10):
+            with pytest.raises(DegenerateSeriesError):
+                describe(make_series(values))
 
 
 class TestAutocorr:
@@ -114,8 +124,10 @@ class TestAutocorr:
                 autocorr(s, lag)
 
     def test_degenerate_error(self):
-        with pytest.raises(DegenerateSeriesError):
-            autocorr(make_series([1.0, 1.0, 1.0]), 1)
+        # the mean of 3 x 0.1 does not round to 0.1
+        for values in ([1.0, 1.0, 1.0], [0.1] * 3):
+            with pytest.raises(DegenerateSeriesError):
+                autocorr(make_series(values), 1)
 
 
 class TestAutocorrelations:
@@ -152,3 +164,40 @@ class TestAutocorrelations:
         # the FFT path's padded length: the least 5-smooth n' >= n
         ns = range(1, 20_001)
         assert [_fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
+
+
+class TestSeriesValidity:
+    """Every test decides short and all-equal input by the same rule."""
+
+    BOOT = BootstrapConfig(n_boot=9, seed=0)
+    ENTRY_POINTS = {
+        "avr_statistic": avr_statistic,
+        "avr_test": lambda s: avr_test(s, TestSeriesValidity.BOOT),
+        "variance_ratio": lambda s: variance_ratio(s, 2.0),
+        "auto_bandwidth": auto_bandwidth,
+        "gs_statistic": gs_statistic,
+        "gs_test": lambda s: gs_test(s, TestSeriesValidity.BOOT),
+        "truncation_bound": lambda s: truncation_bound(s, 1),
+        "describe": describe,
+        "autocorr": lambda s: autocorr(s, 1),
+        "autocorrelations": lambda s: autocorrelations(s.values),
+    }
+
+    def test_all_equal_rejected_by_every_entry_point(self):
+        # Neither mean rounds to its value, so the centered values are
+        # rounding noise rather than zeros.
+        for n, level in ((455, 9.351), (588, 0.72)):
+            s = make_series([level] * n)
+            for name, entry in self.ENTRY_POINTS.items():
+                with pytest.raises(DegenerateSeriesError) as exc:
+                    entry(s)
+                assert str(exc.value) == "degenerate series: zero sample variance", name
+
+    def test_short_input_message(self):
+        for name, entry in self.ENTRY_POINTS.items():
+            if name in ("autocorr", "autocorrelations"):
+                continue  # their lag bounds reject short input first
+            need = 2 if name.startswith(("gs", "truncation")) else 4
+            with pytest.raises(ValueError) as exc:
+                entry(make_series([0.1, 0.2, 0.3][: need - 1]))
+            assert str(exc.value) == f"need at least {need} observations, got {need - 1}"
