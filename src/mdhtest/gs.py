@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import GS_DOMAIN, BootstrapConfig, draw_multipliers, substream
-from .series import ReturnSeries, _checked, _fast_len
+from .series import ReturnSeries, _checked, _fast_len, _lag_count
 
 # Certified error of the Gram factor, relative to the statistic.
 _REL_TOL = 1e-12
@@ -106,11 +106,8 @@ def gram_matrix(series: ReturnSeries) -> np.ndarray:
 
 def _resolve_max_lag(T: int, max_lag) -> int:
     if max_lag is None or max_lag == "full":
-        return T - 1
-    j = int(max_lag)
-    if not 1 <= j <= T - 1:
-        raise ValueError(f"max_lag must be in [1, {T - 1}] or 'full', got {max_lag}")
-    return j
+        max_lag = T - 1
+    return _lag_count(max_lag, T, "max_lag")
 
 
 def _suffix_sums(a: np.ndarray, J: int) -> np.ndarray:

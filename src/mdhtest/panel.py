@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .series import FREQUENCIES, ReturnSeries
+from .series import ReturnSeries
 
 FORMATS = ("long", "wide")
 
@@ -47,17 +47,17 @@ class _RecordError(PanelError):
         self.records = records
 
     def at_lines(self, lines: list) -> str:
+        what = self.args[0]
         if len(lines) == 1:
-            return f"line {lines[0]}: {self}"
-        return f"{self} at lines {lines[0]} and {lines[1]}"
+            return f"line {lines[0]}: {what}"
+        return f"{what} at lines {lines[0]} and {lines[1]}"
 
 
-class _DuplicatePair(PanelError):
-    """A repeated (date, instrument) pair; ``rows`` are the two row indices."""
+class _DuplicatePair(_RecordError):
+    """A repeated (date, instrument) pair; ``records`` are its two rows."""
 
-    def __init__(self, message: str, rows: tuple):
-        super().__init__(message)
-        self.rows = rows
+    def __str__(self) -> str:
+        return f"{self.args[0]} at rows {self.records[0]} and {self.records[1]}"
 
 
 def _first_duplicate(dates: np.ndarray, instruments: np.ndarray):
@@ -108,11 +108,8 @@ class PanelInput:
             raise PanelError(f"non-finite return at row {bad}")
         rows = _first_duplicate(dates, instruments)
         if rows is not None:
-            key = (dates[rows[1]].astype(str), instruments[rows[1]])
-            raise _DuplicatePair(
-                f"duplicate (date, instrument) {key} at rows {rows[0]} and {rows[1]}",
-                rows,
-            )
+            key = (str(dates[rows[1]]), instruments[rows[1]])
+            raise _DuplicatePair(f"duplicate (date, instrument) {key}", rows)
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "instruments", instruments)
         object.__setattr__(self, "returns", returns)
@@ -216,16 +213,11 @@ def _load_long(path, header, reader) -> PanelInput:
             raise _RecordError("empty instrument id", (record,))
         instruments.append(instrument)
         returns.append(_parse_return(row[2], record))
-    try:
-        return PanelInput(
-            dates=_dates(days),
-            instruments=np.array(instruments, dtype=object),
-            returns=np.array(returns, dtype=np.float64),
-        )
-    except _DuplicatePair as dup:
-        second = dup.rows[1]
-        key = (_date.fromordinal(days[second]).isoformat(), instruments[second])
-        raise _RecordError(f"duplicate (date, instrument) {key}", dup.rows) from None
+    return PanelInput(
+        dates=_dates(days),
+        instruments=np.array(instruments, dtype=object),
+        returns=np.array(returns, dtype=np.float64),
+    )
 
 
 def _load_wide(path, header, reader) -> PanelInput:
@@ -276,13 +268,11 @@ def _dates(ordinals: list) -> np.ndarray:
 
 def equal_weight_series(panel: PanelInput, frequency: str) -> ReturnSeries:
     """Cross-sectional mean return per date over the instruments present."""
-    if frequency not in FREQUENCIES:
-        raise ValueError(f"frequency must be one of {FREQUENCIES}, got {frequency!r}")
     if len(panel) == 0:
         raise PanelError("empty panel: no observations to average")
     unique_dates, inverse = np.unique(panel.dates, return_inverse=True)
-    sums = np.zeros(len(unique_dates))
-    np.add.at(sums, inverse, panel.returns)
+    # each date's returns are added in row order, as a loop over rows would
+    sums = np.bincount(inverse, weights=panel.returns, minlength=len(unique_dates))
     counts = np.bincount(inverse, minlength=len(unique_dates))
     return ReturnSeries(
         values=sums / counts, dates=unique_dates, frequency=frequency

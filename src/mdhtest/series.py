@@ -10,6 +10,7 @@ convention under which the Jarque-Bera statistic recomputed from published
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,9 @@ def describe(series: ReturnSeries) -> MomentSummary:
     n = len(values)
     mean = float(values.mean())
     d = values - mean
+    # exact power-of-two scaling to max |d| in [0.5, 1): no d**4 under/overflow
+    scale = math.frexp(np.max(np.abs(d)))[1]
+    d = np.ldexp(d, -scale)
     m2 = float(np.mean(d * d))
     m3 = float(np.mean(d**3))
     m4 = float(np.mean(d**4))
@@ -120,7 +124,7 @@ def describe(series: ReturnSeries) -> MomentSummary:
     return MomentSummary(
         size=n,
         mean=mean,
-        std=math.sqrt(m2),
+        std=math.ldexp(math.sqrt(m2), scale),
         skewness=skewness,
         kurtosis=kurtosis,
         jarque_bera=jb,
@@ -173,15 +177,24 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _lag_count(lag, T: int, name: str) -> int:
+    """``lag`` if an integer in [1, T-1]; a float, str or bool is a ValueError."""
+    try:
+        j = 0 if isinstance(lag, bool) else operator.index(lag)
+    except TypeError:
+        j = 0
+    if not 1 <= j <= T - 1:
+        raise ValueError(f"{name} must be an integer in [1, {T - 1}], got {lag!r}")
+    return j
+
+
 def autocorr(series: ReturnSeries, lag: int) -> float:
     """Sample autocorrelation at one lag.
 
     rho(lag) = sum_{t<=T-lag} (Y_t - mu)(Y_{t+lag} - mu) / sum_t (Y_t - mu)^2
     with mu the full-sample mean.
     """
-    T = len(series)
-    if not 1 <= lag <= T - 1:
-        raise ValueError(f"lag must be in [1, {T - 1}], got {lag}")
+    lag = _lag_count(lag, len(series), "lag")
     d, den = _demeaned(series.values)
     return float(d[:-lag] @ d[lag:]) / den
 
@@ -195,10 +208,7 @@ def autocorrelations(values: np.ndarray, max_lag: int | None = None) -> np.ndarr
     """
     values = np.asarray(values, dtype=np.float64)
     T = len(values)
-    if max_lag is None:
-        max_lag = T - 1
-    if not 1 <= max_lag <= T - 1:
-        raise ValueError(f"max_lag must be in [1, {T - 1}], got {max_lag}")
+    max_lag = _lag_count(T - 1 if max_lag is None else max_lag, T, "max_lag")
     d, den = _demeaned(values)
     if T <= _DIRECT_ACV_LIMIT:
         # Only the lags 0..max_lag: one length-T dot product each, d against

@@ -114,6 +114,21 @@ class TestDescribe:
         jb_line = [l for l in out.splitlines() if l.startswith("jarque_bera")][0]
         assert jb_line.rstrip().endswith("***")
 
+    @pytest.mark.parametrize("power", [-330, 330])
+    def test_any_scale(self, tmp_path, capsys, power):
+        import numpy as np
+
+        # d**4 underflows at 2^-330 and overflows at 2^330 unless rescaled
+        values = np.random.default_rng(8).standard_normal(50) * 2.0**power
+        dates = np.datetime64("2000-01-03") + np.arange(50)
+        path = tmp_path / "scaled.csv"
+        path.write_text(
+            "date,A\n" + "".join(f"{d},{v}\n" for d, v in zip(dates, values))
+        )
+        code, out, _ = run(capsys, ["describe", str(path), "--format", "wide"])
+        assert code == 0
+        assert out.splitlines()[0].split() == ["size", "50"]
+
 
 class TestAvrCommand:
     def test_json_fields_and_values(self, sim_csv, capsys):

@@ -65,9 +65,17 @@ class TestGsStatistic:
 
     def test_max_lag_validation(self):
         s = make_series(random_series_values(np.random.default_rng(22), 10))
-        for bad in (0, 10, -3):
-            with pytest.raises(ValueError, match="max_lag"):
-                gs_statistic(s, max_lag=bad)
+        boot = BootstrapConfig(n_boot=9, seed=0)
+        # a float, bool or string is refused, never rounded or converted
+        for bad in (0, 10, -3, 2.7, 5.0, True, "5"):
+            for entry in (
+                lambda: gs_statistic(s, max_lag=bad),
+                lambda: gs_test(s, boot, max_lag=bad),
+                lambda: truncation_bound(s, bad),
+            ):
+                with pytest.raises(ValueError, match="max_lag"):
+                    entry()
+        assert gs_statistic(s, max_lag=np.int64(5)) == gs_statistic(s, max_lag=5)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)

@@ -245,7 +245,7 @@ class TestPanelInput:
         with pytest.raises(PanelError) as err:
             PanelInput(dates=dates, instruments=instruments, returns=np.zeros(6))
         assert str(err.value) == (
-            "duplicate (date, instrument) (np.str_('2000-01-03'), 'A') "
+            "duplicate (date, instrument) ('2000-01-03', 'A') "
             "at rows 1 and 3"
         )
 
@@ -366,6 +366,21 @@ class TestEqualWeightSeries:
         panel = load_panel(write(tmp_path, LONG))
         with pytest.raises(ValueError, match="frequency"):
             equal_weight_series(panel, "hourly")
+
+    def test_sums_match_row_order_loop_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        n = 20_000
+        days = np.datetime64("2000-01-03") + rng.integers(0, 300, n)
+        instruments = np.arange(n).astype(str).astype(object)  # all pairs unique
+        returns = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, n)
+        panel = PanelInput(dates=days, instruments=instruments, returns=returns)
+        sums, counts = {}, {}
+        for day, value in zip(panel.dates, panel.returns):
+            sums[day] = sums.get(day, 0.0) + value
+            counts[day] = counts.get(day, 0) + 1
+        series = equal_weight_series(panel, "daily")
+        want = [sums[d] / counts[d] for d in series.dates]
+        assert list(series.values) == want
 
     def test_random_panel_matches_manual_means(self, tmp_path):
         rng = np.random.default_rng(55)

@@ -94,6 +94,17 @@ class TestDescribe:
         again = jarque_bera_from_moments(m.size, m.skewness, m.kurtosis)
         assert again == m.jarque_bera  # same expression, bit for bit
 
+    @pytest.mark.parametrize("power", [-330, 330])
+    def test_any_scale(self, power):
+        # d**4 underflows to 0 at 2^-330 and overflows at 2^330 unless the
+        # centered values are rescaled first
+        values = np.random.default_rng(7).standard_normal(50)
+        m = describe(make_series(values))
+        scaled = describe(make_series(values * 2.0**power))
+        assert scaled.std == m.std * 2.0**power
+        for field in ("skewness", "kurtosis", "jarque_bera"):
+            assert getattr(scaled, field) == pytest.approx(getattr(m, field), rel=1e-12)
+
     def test_requires_four_observations(self):
         with pytest.raises(ValueError):
             describe(make_series([0.1, 0.2, 0.3]))
@@ -119,9 +130,10 @@ class TestAutocorr:
 
     def test_lag_bounds(self):
         s = make_series(np.random.default_rng(0).standard_normal(10))
-        for lag in (0, 10, -1):
-            with pytest.raises(ValueError):
+        for lag in (0, 10, -1, 2.5, True):
+            with pytest.raises(ValueError, match="lag"):
                 autocorr(s, lag)
+        assert autocorr(s, np.int64(5)) == autocorr(s, 5)
 
     def test_degenerate_error(self):
         # the mean of 3 x 0.1 does not round to 0.1
@@ -159,6 +171,12 @@ class TestAutocorrelations:
     def test_max_lag_truncation(self):
         values = np.random.default_rng(4).standard_normal(30)
         assert len(autocorrelations(values, max_lag=5)) == 5
+        assert np.array_equal(
+            autocorrelations(values, max_lag=np.int64(5)), autocorrelations(values, 5)
+        )
+        for bad in (0, 30, 2.5, True):
+            with pytest.raises(ValueError, match="max_lag"):
+                autocorrelations(values, max_lag=bad)
 
     def test_fast_len_matches_scipy_next_fast_len(self):
         # the FFT path's padded length: the least 5-smooth n' >= n
