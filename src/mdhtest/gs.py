@@ -37,12 +37,45 @@ The wild bootstrap rescales residuals (not conditioning values) by
 external noise and re-centers them per lag exactly as the observed
 statistic does, so the factor is fixed across replications. A
 replication applies the same identity to eta*e and eta: two FFTs of the
-multipliers, K inverse FFTs for each, and a re-centering term from suffix
-sums. Replications run in small fixed batches, so working memory is
-O(batch * K * T). Skipping the re-centering would center the bootstrap
-law on sum_j gamma_j sum_t e_t^2 while the observed statistic has the
-Gram matrix's mean level projected out, making the test blind
+multipliers, one inverse FFT per column for each, and a re-centering
+term from suffix sums. Skipping the re-centering would center the
+bootstrap law on sum_j gamma_j sum_t e_t^2 while the observed statistic
+has the Gram matrix's mean level projected out, making the test blind
 (near-zero rejection at any nominal size).
+
+The p-value needs only whether each replication D*^2 reaches D^2, and
+most replications settle that long before the last column. With S_k a
+replication's value over the first k columns and R_k the residual after
+k pivots, the columns from k on add
+sum_j gamma_j |L[:n, k:]' c*_j|^2 <= tr(R_k) * sum_j gamma_j |c*_j|^2,
+because L[:, k:] L[:, k:]' = R_k - R_K is dominated by R_k. Bounding
+|c*_j|^2 by |eta * e^(j)|^2 brackets the full-rank value:
+
+    S_k <= S_K <= S_k + tr(R_k) * sum_j gamma_j |eta * e^(j)|^2
+                 = S_k + tr(R_k) * sum_t eta_t^2 v_t,
+
+where v_t = sum_{j <= t} gamma_j (z_t - shift_j)^2 regroups the lag sums
+by time index. The fit builds v from prefix sums of gamma, gamma * shift
+and gamma * shift^2, so a row's upper end costs one dot product.
+
+Every replication is first evaluated on k columns, k the first rank
+whose certified error on the observed statistic, tr(R_k) * sum_j
+gamma_j |c_j|^2, is at most 1e-3 * D^2. A row whose bracket lies above
+or below D^2 by more than a slack is decided; only the others are
+evaluated on all K columns and compared with D^2 as before, so the
+exceedance count, and the p-value, equal the full-rank ones exactly.
+The slack is 1e-9 * (D^2 + upper end), and covers roundoff. A row's
+transforms do not depend on how many rows or columns share the batch,
+so S_k and S_K sum the same computed terms, all nonnegative; each sum is
+then within (K + J) * 2^-53 relative of its exact value, under 3e-12
+for T up to 1e4. The FFT error in the omitted columns and the rounding
+of tr(R_k) and of v move the upper end by amounts of the same relative
+size, far below both the slack and the excess of the trace bound over
+the tail it bounds.
+
+Replications run in batches that fit one workspace sized for _BATCH
+full-rank rows: (_BATCH * K) // k rows on the k-column pass, _BATCH rows
+at full rank. Working memory is O(_BATCH * K * T).
 """
 
 from __future__ import annotations
@@ -57,7 +90,16 @@ from .series import ReturnSeries, _checked, _fast_len, _lag_count
 
 # Certified error of the Gram factor, relative to the statistic.
 _REL_TOL = 1e-12
-# Replications per batched FFT; larger batches cost memory, not time.
+# The bootstrap's first pass uses the columns that certify the statistic
+# to this relative error (module docstring).
+_SPLIT = 1e-3
+# Roundoff allowance of a bootstrap decision, relative to D^2 plus the
+# row's upper end (module docstring).
+_SLACK = 1e-9
+# Full-rank replications per batched FFT. Their workspace also bounds the
+# first pass, which fills it with (_BATCH * K) // k rows rather than
+# _BATCH: batch size moves time, not only memory, since every batch pays
+# the same fixed run of numpy calls however few rows it carries.
 _BATCH = 2
 
 
@@ -90,6 +132,9 @@ class _Fit:
     z: np.ndarray  # (T,) data minus its mean
     spectra: np.ndarray  # (K, nfft//2 + 1) conjugate spectra of L's columns
     prefix: np.ndarray  # (K, J) column sums over the first T - j rows
+    traces: np.ndarray  # (K + 1,) tr(R_k), the residual's trace after k pivots
+    split: int  # columns of the bootstrap's first pass
+    spread: np.ndarray  # (T,) v_t = sum_{j <= t} gamma_j (z_t - shift_j)^2
 
 
 def gram_matrix(series: ReturnSeries) -> np.ndarray:
@@ -138,7 +183,8 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
     sums = np.zeros(J)  # sum_k u_jk^2 per lag
     lower = 0.0  # the factored statistic so far, a lower bound on D^2
     K = 0
-    while float(resid.sum()) * budget > _REL_TOL * lower:
+    traces = [float(resid.sum())]
+    while traces[-1] * budget > _REL_TOL * lower:
         q = int(np.argmax(resid))
         pivot = resid[q]
         if not pivot > 0.0:
@@ -153,6 +199,7 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         resid -= col * col
         resid[q] = 0.0
         np.maximum(resid, 0.0, out=resid)
+        traces.append(float(resid.sum()))
         # u_jk = xcorr(L_k, z)[j] - shift_j * sum_{t < T-j} L_tk, all j at once
         spec = np.conj(np.fft.rfft(col, nfft))
         pre = np.cumsum(col)[N - lags]
@@ -161,9 +208,15 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         lower = float(weight @ sums)
         spectra.append(spec)
         prefix.append(pre)
+    statistic = math.fsum(weight * sums)
+    error_bound = traces[-1] * budget
+    traces = np.array(traces)
+    # prefix sums over lags j <= t of gamma_j, gamma_j shift_j, gamma_j shift_j^2
+    g = np.cumsum([weight, weight * shift, weight * shift**2], axis=1)
+    g = np.pad(g, ((0, 0), (1, 0)))[:, np.minimum(np.arange(T), J)]
     return _Fit(
-        statistic=math.fsum(weight * sums),
-        error_bound=float(resid.sum()) * budget,
+        statistic=statistic,
+        error_bound=error_bound,
         nfft=nfft,
         weight=weight,
         shift=shift,
@@ -171,6 +224,9 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         z=z,
         spectra=np.array(spectra).reshape(K, nfft // 2 + 1),
         prefix=np.array(prefix).reshape(K, J),
+        traces=traces,
+        split=int(np.argmax(traces * budget <= _SPLIT * statistic)),
+        spread=np.maximum(z * (z * g[0] - 2.0 * g[1]) + g[2], 0.0),
     )
 
 
@@ -203,42 +259,51 @@ def truncation_bound(series: ReturnSeries, max_lag) -> float:
 
 
 def _workspace(fit: _Fit, m: int) -> tuple:
-    """Product, correlation and lift buffers for up to m replications.
+    """Flat product, correlation and lift buffers for m full-rank rows.
 
-    One workspace serves every batch of a test. The first two buffers
-    exceed glibc's default mmap threshold (128 KiB) from T ~ 250, K ~ 20,
-    so a fresh allocation per batch is unmapped on free and page-faulted
-    back in on the next batch: at T = 250, B = 199 a test took about
-    18 000 minor page faults that way, against about 180 with one
-    workspace.
+    A pass over k of the K columns fits (m * K) // k rows in the same
+    buffers. One workspace serves every batch of a test. The first two
+    buffers exceed glibc's default mmap threshold (128 KiB) from T ~ 250,
+    K ~ 20, so a fresh allocation per batch is unmapped on free and
+    page-faulted back in on the next batch: at T = 250, B = 199 a test
+    took about 18 000 minor page faults that way, against about 180 with
+    one workspace.
     """
     K, J = fit.prefix.shape
     return (
-        np.empty((2 * m, K, fit.nfft // 2 + 1), dtype=complex),
-        np.empty((2 * m, K, fit.nfft)),
-        np.empty((m, K, J)),
+        np.empty(2 * m * K * (fit.nfft // 2 + 1), dtype=complex),
+        np.empty(2 * m * K * fit.nfft),
+        np.empty(m * K * J),
     )
 
 
-def _replicate(fit: _Fit, eta: np.ndarray, work: tuple | None = None) -> np.ndarray:
+def _replicate(
+    fit: _Fit, eta: np.ndarray, work: tuple | None = None, columns: int | None = None
+) -> np.ndarray:
     """Bootstrap statistics for the multiplier rows of ``eta`` (m x T).
 
-    For each lag, u*_jk = xcorr(L_k, eta*z)[j] - shift_j * xcorr(L_k, eta)[j]
-    - mean_j(eta * e^(j)) * prefix_k(T - j). ``work`` is a ``_workspace``
-    for at least m replications; one is allocated when it is omitted.
+    Uses the first ``columns`` columns of the Gram factor, all K by
+    default. For each lag and column k, u*_jk = xcorr(L_k, eta*z)[j]
+    - shift_j * xcorr(L_k, eta)[j] - mean_j(eta * e^(j)) * prefix_k(T - j).
+    ``work`` is a ``_workspace`` with room for m rows of that many
+    columns; one is allocated when it is omitted.
     """
     J = len(fit.weight)
     m = len(eta)
+    K = len(fit.spectra) if columns is None else columns
+    bins = fit.nfft // 2 + 1
     prod, corr, lift = work or _workspace(fit, m)
-    prod, corr, lift = prod[: 2 * m], corr[: 2 * m], lift[:m]
+    prod = prod[: 2 * m * K * bins].reshape(2 * m, K, bins)
+    corr = corr[: 2 * m * K * fit.nfft].reshape(2 * m, K, fit.nfft)
+    lift = lift[: m * K * J].reshape(m, K, J)
     inputs = np.concatenate([eta * fit.z, eta])
     spec = np.fft.rfft(inputs, fit.nfft)
-    np.multiply(spec[:, None, :], fit.spectra, out=prod)
+    np.multiply(spec[:, None, :], fit.spectra[:K], out=prod)
     np.fft.irfft(prod, fit.nfft, out=corr)
     u, rest = corr[:m, :, 1 : J + 1], corr[m:, :, 1 : J + 1]
     tails = _suffix_sums(inputs, J)
     mean = (tails[:m] - fit.shift * tails[m:]) / fit.counts
-    np.multiply(mean[:, None, :], fit.prefix, out=lift)
+    np.multiply(mean[:, None, :], fit.prefix[:K], out=lift)
     rest *= fit.shift
     rest += lift
     u -= rest
@@ -247,24 +312,45 @@ def _replicate(fit: _Fit, eta: np.ndarray, work: tuple | None = None) -> np.ndar
     return (np.einsum("bkj,bkj->bj", u, u) * fit.weight).sum(axis=1)
 
 
-def _replications(fit: _Fit, boot: BootstrapConfig) -> np.ndarray:
-    """All bootstrap statistics, _BATCH replications at a time.
+def _bracket(fit: _Fit, eta: np.ndarray, work: tuple | None = None) -> tuple:
+    """Lower and upper ends of each row's full-rank value.
 
-    Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``.
+    The lower end is the value over the first k = ``fit.split`` columns;
+    the upper end adds tr(R_k) * sum_t eta_t^2 v_t (module docstring).
+    """
+    low = _replicate(fit, eta, work, fit.split)
+    return low, low + fit.traces[fit.split] * ((eta * eta) @ fit.spread)
+
+
+def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
+    """Bootstrap statistics at or above the observed one.
+
+    Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``. Each is
+    bracketed over ``fit.split`` columns; those the bracket leaves open
+    are evaluated at full rank, _BATCH at a time.
     """
     T = len(fit.z)
+    K = len(fit.spectra)
+    D = fit.statistic
+    rows = _BATCH * K // fit.split if fit.split < K else _BATCH
     work = _workspace(fit, _BATCH)
-    out = np.empty(boot.n_boot)
-    for start in range(0, boot.n_boot, _BATCH):
-        stop = min(start + _BATCH, boot.n_boot)
+    exceed = 0
+    for start in range(0, boot.n_boot, rows):
+        stop = min(start + rows, boot.n_boot)
         eta = np.array(
             [
                 draw_multipliers(substream(boot.seed, GS_DOMAIN, b), boot.multiplier, T)
                 for b in range(start, stop)
             ]
         )
-        out[start:stop] = _replicate(fit, eta, work)
-    return out
+        if fit.split < K:
+            low, high = _bracket(fit, eta, work)
+            slack = _SLACK * (D + high)
+            exceed += int(np.sum(low - D > slack))
+            eta = eta[(low - D <= slack) & (D - high <= slack)]
+        for i in range(0, len(eta), _BATCH):
+            exceed += int(np.sum(_replicate(fit, eta[i : i + _BATCH], work) >= D))
+    return exceed
 
 
 def gs_test(
@@ -282,9 +368,7 @@ def gs_test(
     values = _checked(series.values, 2)
     J = _resolve_max_lag(len(values), max_lag)
     fit = _fit(values, J)
-    boot_stats = _replications(fit, boot)
-    exceed = int(np.sum(boot_stats >= fit.statistic))
-    p_value = (1.0 + exceed) / (boot.n_boot + 1.0)
+    p_value = (1.0 + _exceedances(fit, boot)) / (boot.n_boot + 1.0)
     return GsOutcome(
         statistic=fit.statistic,
         p_value=p_value,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from mdhtest import (
     gs_test,
     truncation_bound,
 )
+from mdhtest import gs
 from mdhtest.bootstrap import GS_DOMAIN, draw_multipliers, substream
-from mdhtest.gs import _fit, _replicate
+from mdhtest.gs import _SLACK, _bracket, _exceedances, _fit, _replicate
 from conftest import make_series
 from reference import (
     random_series_values,
@@ -228,6 +230,103 @@ class TestBootstrapMatrix:
             assert got == pytest.approx(direct, rel=1e-10)
 
 
+def _draws(boot, T):
+    return np.array(
+        [
+            draw_multipliers(substream(boot.seed, GS_DOMAIN, b), boot.multiplier, T)
+            for b in range(boot.n_boot)
+        ]
+    )
+
+
+class TestEarlyDecision:
+    # every replication is bracketed from the first fit.split columns of the
+    # Gram factor; only rows the bracket cannot decide run at full rank
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: 0.01 * rng.standard_normal(300),  # decimal, K ~ 4
+            lambda rng: rng.standard_normal(300),  # percent
+            lambda rng: 3.0 * rng.standard_normal(300),  # K ~ 46
+            lambda rng: 100.0 + rng.standard_normal(300),
+            lambda rng: np.round(rng.standard_normal(300), 1),  # ties
+        ],
+        ids=["decimal", "percent", "sd3", "offset100", "ties"],
+    )
+    def test_bracket_holds(self, make):
+        values = make(np.random.default_rng(51))
+        T = len(values)
+        fit = _fit(values, T - 1)
+        k = fit.split
+        assert 1 <= k < len(fit.spectra)
+        eta = _draws(BootstrapConfig(n_boot=200, seed=3), T)
+        full = _replicate(fit, eta)
+        low, high = _bracket(fit, eta)
+        # sum_j gamma_j |c*_j|^2 with c*_j the re-centered rescaled residuals
+        norms = np.zeros(len(eta))
+        for j in range(1, T):
+            c = eta[:, j:] * (values[j:] - values[j:].mean())
+            c -= c.mean(axis=1, keepdims=True)
+            norms += fit.weight[j - 1] * np.einsum("bt,bt->b", c, c)
+        assert np.all(low <= full)
+        assert np.all(full <= low + fit.traces[k] * norms)
+        assert np.all(low + fit.traces[k] * norms <= high)
+
+    def test_straddling_rows_finish_at_full_rank(self, monkeypatch):
+        values = random_series_values(np.random.default_rng(52), 300) * 100.0
+        fit = _fit(values, 299)
+        boot = BootstrapConfig(n_boot=200, seed=4)
+        eta = _draws(boot, 300)
+        low, high = _bracket(fit, eta)
+        # a point inside the most brackets becomes the observed statistic
+        covered = [np.sum((low <= x) & (x <= high)) for x in low]
+        D = float(low[int(np.argmax(covered))] + 0.5 * (high - low).min())
+        slack = _SLACK * (D + high)
+        straddle = (low - D <= slack) & (D - high <= slack)
+        assert 2 <= straddle.sum() < 20
+        finished = []
+
+        def spy(fit, rows, work=None, columns=None):
+            if columns is None:
+                finished.extend(map(bytes, rows))
+            return _replicate(fit, rows, work, columns)
+
+        monkeypatch.setattr(gs, "_replicate", spy)
+        exceed = _exceedances(replace(fit, statistic=D), boot)
+        assert sorted(finished) == sorted(map(bytes, eta[straddle]))
+        assert exceed == np.sum(_replicate(fit, eta) >= D)
+
+    @pytest.mark.parametrize("law", ["normal", "rademacher", "mammen"])
+    def test_p_value_equals_full_rank_count(self, law):
+        rng = np.random.default_rng(53)
+        grid = [
+            (sd * rng.standard_normal(T), max_lag)
+            for sd in (0.01, 0.3, 1.0, 3.0, 10.0)
+            for T in (3, 4, 5, 60, 300)
+            for max_lag in ("full", max(1, T // 4))
+        ]
+        bilinear = DgpSpec(kind="bilinear", length=300, seed=5, params={"b": 0.4})
+        grid += [
+            ([0.5, -0.2], "full"),  # rank 0
+            (rng.standard_normal(700), "full"),
+            (100.0 + rng.standard_normal(300), "full"),
+            (np.round(rng.standard_normal(300), 1), "full"),
+            (generate(bilinear).values, "full"),
+        ]
+        early = full_only = 0
+        for i, (values, max_lag) in enumerate(grid):
+            values = np.asarray(values, dtype=np.float64)
+            boot = BootstrapConfig(n_boot=49, multiplier=law, seed=i)
+            out = gs_test(make_series(values), boot, max_lag=max_lag)
+            fit = _fit(values, out.max_lag_used)
+            exceed = np.sum(_replicate(fit, _draws(boot, len(values))) >= fit.statistic)
+            assert out.p_value == (1.0 + exceed) / 50.0
+            early += fit.split < len(fit.spectra)
+            full_only += fit.split == len(fit.spectra)
+        assert early and full_only
+
+
 class TestGsTest:
     def test_statistic_bit_identical_to_standalone(self):
         for T in (300, 1100):
@@ -251,20 +350,54 @@ class TestGsTest:
         assert a == b
 
     def test_matches_manual_bootstrap_reconstruction(self):
-        values = random_series_values(np.random.default_rng(36), 50)
-        s = make_series(values)
-        boot = BootstrapConfig(n_boot=23, multiplier="normal", seed=11)
-        out = gs_test(s, boot)
-        fit = _fit(values, 49)
-        statistic = fit.statistic
-        exceed = 0
-        for j in range(boot.n_boot):
-            rng = substream(boot.seed, GS_DOMAIN, j)
-            eta = draw_multipliers(rng, boot.multiplier, 50)
-            exceed += _replicate(fit, eta[None, :])[0] >= statistic
-        assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
-        assert out.statistic == statistic
-        assert out.n_boot == 23
+        cases = [
+            (random_series_values(np.random.default_rng(36), 50), 23),
+            # percent scale: the bracket decides most replications and
+            # leaves one to the full-rank pass
+            (100.0 * random_series_values(np.random.default_rng(16), 300), 39),
+        ]
+        for values, n_boot in cases:
+            T = len(values)
+            s = make_series(values)
+            boot = BootstrapConfig(n_boot=n_boot, multiplier="normal", seed=11)
+            out = gs_test(s, boot)
+            fit = _fit(values, T - 1)
+            statistic = fit.statistic
+            exceed = 0
+            undecided = 0
+            for j in range(boot.n_boot):
+                rng = substream(boot.seed, GS_DOMAIN, j)
+                eta = draw_multipliers(rng, boot.multiplier, T)
+                exceed += _replicate(fit, eta[None, :])[0] >= statistic
+                low, high = _bracket(fit, eta[None, :])
+                undecided += bool(low[0] <= statistic <= high[0])
+            assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
+            assert out.statistic == statistic
+            assert out.n_boot == n_boot
+        # the last case took the early path and left a row undecided
+        assert fit.split < len(fit.spectra)
+        assert undecided >= 1
+
+    def test_one_draw_per_replication(self, monkeypatch):
+        # the benchmark's tracer counts these calls through gs's globals;
+        # this series leaves one replication to the full-rank pass, which
+        # must reuse its multipliers rather than draw them again
+        calls = {"substream": 0, "draw_multipliers": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(gs, "substream", counted("substream", substream))
+        monkeypatch.setattr(
+            gs, "draw_multipliers", counted("draw_multipliers", draw_multipliers)
+        )
+        values = 100.0 * random_series_values(np.random.default_rng(16), 300)
+        gs_test(make_series(values), BootstrapConfig(n_boot=39, seed=11))
+        assert calls == {"substream": 39, "draw_multipliers": 39}
 
     def test_p_value_grid_and_range(self):
         s = make_series(random_series_values(np.random.default_rng(37), 40))
