@@ -71,19 +71,15 @@ def qs_kernel(x):
     return out
 
 
-def _bandwidth_from_rho1(rho1, n_obs: int):
-    """AR(1) plug-in bandwidth; floored at 1 when smaller or non-finite.
+def _bandwidth_from_rho1(rho1: np.ndarray, n_obs: int) -> np.ndarray:
+    """AR(1) plug-in bandwidths for an array of lag-1 autocorrelations.
 
-    Vectorizes over an array of lag-1 autocorrelations; a scalar gives a
-    float, computed by the same array arithmetic.
+    Each is floored at 1 when smaller or non-finite.
     """
-    r = np.atleast_1d(np.asarray(rho1, dtype=np.float64))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        alpha = 4.0 * r**2 / (1.0 - r) ** 4
+        alpha = 4.0 * rho1**2 / (1.0 - rho1) ** 4
         k = _QS_BANDWIDTH_CONST * (alpha * n_obs) ** 0.2
     k[~(np.isfinite(k) & (k >= 1.0))] = 1.0
-    if np.ndim(rho1) == 0:
-        return float(k[0])
     return k
 
 
@@ -127,8 +123,8 @@ def variance_ratio(series: ReturnSeries, k: float) -> float:
 def auto_bandwidth(series: ReturnSeries) -> float:
     """Data-dependent bandwidth k-hat from the lag-1 autocorrelation."""
     values = _checked(series.values, 4)
-    rho1 = float(autocorrelations(values, max_lag=1)[0])
-    return _bandwidth_from_rho1(rho1, len(values))
+    rho1 = autocorrelations(values, max_lag=1)
+    return float(_bandwidth_from_rho1(rho1, len(values))[0])
 
 
 def avr_statistic(series: ReturnSeries) -> tuple[float, float, float]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .series import _choice, _count
+
 MULTIPLIERS = ("normal", "rademacher", "mammen")
 
 # Domain tags keep substreams of unrelated consumers disjoint under one seed.
@@ -37,12 +39,9 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_boot < 1:
-            raise ValueError(f"n_boot must be >= 1, got {self.n_boot}")
-        if self.multiplier not in MULTIPLIERS:
-            raise ValueError(
-                f"unknown multiplier {self.multiplier!r}; expected one of {MULTIPLIERS}"
-            )
+        object.__setattr__(self, "n_boot", _count(self.n_boot, "n_boot", 1))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
+        _choice(self.multiplier, MULTIPLIERS, "multiplier")
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -65,4 +64,4 @@ def draw_multipliers(rng: np.random.Generator, law: str, size: int) -> np.ndarra
     if law == "mammen":
         u = rng.random(size)
         return np.where(u < _MAMMEN_P_LOW, _MAMMEN_LOW, _MAMMEN_HIGH)
-    raise ValueError(f"unknown multiplier {law!r}; expected one of {MULTIPLIERS}")
+    _choice(law, MULTIPLIERS, "multiplier")  # raises: law is none of the above

@@ -43,12 +43,7 @@ def _fmt(x: float) -> str:
 def _render_json(pairs) -> str:
     lines = []
     for key, value in pairs:
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, int):
-            text = str(value)
-        else:
-            text = _fmt(value)
+        text = str(value) if isinstance(value, int) else _fmt(value)
         lines.append(f'  "{key}": {text}')
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
@@ -199,7 +194,8 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_avr(args) -> int:
-    outcome = avr_test(_load_series(args), _boot_config(args))
+    boot = _boot_config(args)
+    outcome = avr_test(_load_series(args), boot)
     _emit(
         _render_json(
             [
@@ -226,8 +222,9 @@ def _cmd_avr(args) -> int:
 
 
 def _cmd_gs(args) -> int:
+    boot = _boot_config(args)
     series = _load_series(args)
-    outcome = gs_test(series, _boot_config(args), max_lag=args.max_lag)
+    outcome = gs_test(series, boot, max_lag=args.max_lag)
     if outcome.max_lag_used < len(series) - 1:
         bound = truncation_bound(series, outcome.max_lag_used)
         print(
@@ -258,20 +255,17 @@ def _cmd_gs(args) -> int:
 
 
 def _cmd_roll(args) -> int:
-    series = _load_series(args, args.frequency)
-    if args.window_years is None:
-        base = WindowSpec.for_frequency(args.frequency)
-        window_years = base.window_years
-    else:
-        window_years = args.window_years
+    window_years = args.window_years
+    if window_years is None:
+        window_years = WindowSpec.for_frequency(args.frequency).window_years
     spec = WindowSpec(
         window_years=window_years,
         step_years=args.step_years,
         min_observations=args.min_obs,
     )
-    result = run_rolling(
-        series, spec, args.test, _boot_config(args), workers=args.workers
-    )
+    boot = _boot_config(args)
+    series = _load_series(args, args.frequency)
+    result = run_rolling(series, spec, args.test, boot, workers=args.workers)
     buf = io.StringIO()
     rows = _csv_writer(buf, lineterminator="\n")
     rows.writerow(_ROLL_COLUMNS)
@@ -319,6 +313,8 @@ def _parse_params(text: str) -> dict:
         name = name.strip()
         if not sep or not name:
             raise ValueError(f"bad --params entry {piece!r}, expected name=value")
+        if name in params:
+            raise ValueError(f"bad --params: {name} given twice")
         try:
             params[name] = float(value)
         except ValueError:

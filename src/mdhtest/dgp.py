@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .bootstrap import DGP_DOMAIN, substream
-from .series import FREQUENCIES, ReturnSeries
+from .series import FREQUENCIES, ReturnSeries, _choice, _count
 
 KINDS = ("iid_normal", "ar1", "garch11", "bilinear")
 _RECURSIVE = ("ar1", "garch11", "bilinear")
@@ -47,14 +47,10 @@ class DgpSpec:
     frequency: str = "daily"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.frequency not in FREQUENCIES:
-            raise ValueError(
-                f"frequency must be one of {FREQUENCIES}, got {self.frequency!r}"
-            )
+        _choice(self.kind, KINDS, "kind")
+        object.__setattr__(self, "length", _count(self.length, "length", 1))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
+        _choice(self.frequency, FREQUENCIES, "frequency")
         expected = _PARAM_NAMES[self.kind]
         got = frozenset(self.params)
         if got != expected:
@@ -65,17 +61,12 @@ class DgpSpec:
             v = float(value)
             if not math.isfinite(v):
                 raise ValueError(f"param {name} must be finite, got {value!r}")
-        if self.burn_in is None:
-            # recursive processes need warmup to forget their start state
-            object.__setattr__(
-                self, "burn_in", 200 if self.kind in _RECURSIVE else 0
-            )
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.kind in _RECURSIVE and self.burn_in < 100:
-            raise ValueError(
-                f"burn_in must be >= 100 for {self.kind}, got {self.burn_in}"
-            )
+        recursive = self.kind in _RECURSIVE
+        # recursive processes need warmup to forget their start state
+        burn_in = (200 if recursive else 0) if self.burn_in is None else self.burn_in
+        object.__setattr__(
+            self, "burn_in", _count(burn_in, "burn_in", 100 if recursive else 0)
+        )
         self._check_stationarity()
 
     def _check_stationarity(self):

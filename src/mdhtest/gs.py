@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import GS_DOMAIN, BootstrapConfig, draw_multipliers, substream
-from .series import ReturnSeries, _checked, _fast_len, _lag_count
+from .series import ReturnSeries, _checked, _count, _fast_len
 
 # Certified error of the Gram factor, relative to the statistic.
 _REL_TOL = 1e-12
@@ -152,7 +152,7 @@ def gram_matrix(series: ReturnSeries) -> np.ndarray:
 def _resolve_max_lag(T: int, max_lag) -> int:
     if max_lag is None or max_lag == "full":
         max_lag = T - 1
-    return _lag_count(max_lag, T, "max_lag")
+    return _count(max_lag, "max_lag", 1, T - 1)
 
 
 def _suffix_sums(a: np.ndarray, J: int) -> np.ndarray:

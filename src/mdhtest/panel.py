@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .series import ReturnSeries
+from .series import ReturnSeries, _choice
 
 FORMATS = ("long", "wide")
 
@@ -174,9 +174,7 @@ def load_panel(path: str, format: str = "long") -> PanelInput:
     Rows are parsed as the CSV reader yields them; the file is never held
     as a list of rows. All diagnostics name file lines.
     """
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    load = _load_long if format == "long" else _load_wide
+    load = _load_long if _choice(format, FORMATS, "format") == "long" else _load_wide
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)

@@ -19,7 +19,7 @@ import numpy as np
 from .avr import AvrOutcome, avr_test
 from .bootstrap import WINDOW_DOMAIN, BootstrapConfig, derive_seed
 from .gs import GsOutcome, gs_test
-from .series import ReturnSeries
+from .series import FREQUENCIES, ReturnSeries, _choice, _count
 
 TESTS = ("avr", "gs")
 
@@ -33,23 +33,16 @@ class WindowSpec:
     min_observations: int = 30
 
     def __post_init__(self):
-        if self.window_years < 1:
-            raise ValueError(f"window_years must be >= 1, got {self.window_years}")
-        if self.step_years < 1:
-            raise ValueError(f"step_years must be >= 1, got {self.step_years}")
-        if self.min_observations < 10:
-            raise ValueError(
-                f"min_observations must be >= 10, got {self.min_observations}"
-            )
+        for name, low in (
+            ("window_years", 1), ("step_years", 1), ("min_observations", 10)
+        ):
+            object.__setattr__(self, name, _count(getattr(self, name), name, low))
 
     @classmethod
     def for_frequency(cls, frequency: str) -> "WindowSpec":
         """Defaults sized to give a few hundred observations per window."""
-        if frequency == "daily":
-            return cls(window_years=2)
-        if frequency == "weekly":
-            return cls(window_years=5)
-        raise ValueError(f"no window defaults for frequency {frequency!r}")
+        _choice(frequency, FREQUENCIES, "frequency")
+        return cls(window_years=2 if frequency == "daily" else 5)
 
 
 class Window(NamedTuple):
@@ -133,10 +126,8 @@ def run_rolling(
     depends only on (series, spec, test, boot), not on scheduling or
     ``workers``.
     """
-    if test not in TESTS:
-        raise ValueError(f"test must be one of {TESTS}, got {test!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _choice(test, TESTS, "test")
+    workers = _count(workers, "workers", 1)
     windows = make_windows(series, spec)
 
     def one_window(w: int) -> WindowResult:

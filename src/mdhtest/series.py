@@ -66,10 +66,7 @@ class ReturnSeries:
             raise ValueError(
                 f"dates must be strictly increasing (violation at position {bad + 1})"
             )
-        if self.frequency not in FREQUENCIES:
-            raise ValueError(
-                f"unknown frequency {self.frequency!r}; expected one of {FREQUENCIES}"
-            )
+        _choice(self.frequency, FREQUENCIES, "frequency")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dates", dates)
 
@@ -177,15 +174,23 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _lag_count(lag, T: int, name: str) -> int:
-    """``lag`` if an integer in [1, T-1]; a float, str or bool is a ValueError."""
+def _count(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high]; a float, str or bool is a ValueError."""
     try:
-        j = 0 if isinstance(lag, bool) else operator.index(lag)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        j = 0
-    if not 1 <= j <= T - 1:
-        raise ValueError(f"{name} must be an integer in [1, {T - 1}], got {lag!r}")
-    return j
+        n = None
+    if n is None or n < low or (high is not None and n > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(n)
+
+
+def _choice(value, options: tuple, name: str):
+    """``value`` if it is one of ``options``; otherwise a ValueError."""
+    if value not in options:
+        raise ValueError(f"{name} must be one of {options}, got {value!r}")
+    return value
 
 
 def autocorr(series: ReturnSeries, lag: int) -> float:
@@ -194,7 +199,7 @@ def autocorr(series: ReturnSeries, lag: int) -> float:
     rho(lag) = sum_{t<=T-lag} (Y_t - mu)(Y_{t+lag} - mu) / sum_t (Y_t - mu)^2
     with mu the full-sample mean.
     """
-    lag = _lag_count(lag, len(series), "lag")
+    lag = _count(lag, "lag", 1, len(series) - 1)
     d, den = _demeaned(series.values)
     return float(d[:-lag] @ d[lag:]) / den
 
@@ -208,7 +213,7 @@ def autocorrelations(values: np.ndarray, max_lag: int | None = None) -> np.ndarr
     """
     values = np.asarray(values, dtype=np.float64)
     T = len(values)
-    max_lag = _lag_count(T - 1 if max_lag is None else max_lag, T, "max_lag")
+    max_lag = _count(T - 1 if max_lag is None else max_lag, "max_lag", 1, T - 1)
     d, den = _demeaned(values)
     if T <= _DIRECT_ACV_LIMIT:
         # Only the lags 0..max_lag: one length-T dot product each, d against

@@ -60,21 +60,24 @@ class TestQsKernel:
 class TestBandwidth:
     def test_plugin_arithmetic(self):
         # rho=0.5, T=500: alpha(2) = 16, k = 1.3221 * 8000^(1/5)
-        assert _bandwidth_from_rho1(0.5, 500) == pytest.approx(
+        assert _bandwidth_from_rho1(np.array([0.5]), 500)[0] == pytest.approx(
             1.3221 * 8000.0**0.2, rel=1e-12
         )
 
     def test_floor_at_one(self):
-        assert _bandwidth_from_rho1(0.0, 1000) == 1.0
-        assert _bandwidth_from_rho1(1.0, 1000) == 1.0  # non-finite plug-in
+        # rho=1 makes the plug-in non-finite
+        assert _bandwidth_from_rho1(np.array([0.0, 1.0]), 1000).tolist() == [1.0, 1.0]
 
     def test_array_matches_scalar_elementwise(self):
+        # each element equals its own one-element call, the form auto_bandwidth uses
         near_one = [1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 1e-15, np.nextafter(1.0, 0.0)]
         rho1 = np.array([0.0, 0.5, -0.9, 1.0, *near_one])
         for n_obs in (4, 250, 1000):
             got = _bandwidth_from_rho1(rho1, n_obs)
             assert isinstance(got, np.ndarray) and got.shape == rho1.shape
-            assert got.tolist() == [_bandwidth_from_rho1(float(r), n_obs) for r in rho1]
+            assert got.tolist() == [
+                _bandwidth_from_rho1(np.array([r]), n_obs)[0] for r in rho1
+            ]
             assert got[0] == got[3] == 1.0  # the floor and the non-finite plug-in
             assert np.all(np.isfinite(got[4:])) and np.all(got[4:] > 1.0)
 

@@ -85,6 +85,16 @@ class TestSimulate:
         assert code == 1
         assert "phi" in err
 
+    def test_repeated_param_exit_one(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["simulate", "--kind", "ar1", "--params", "phi=0.1,phi=0.9",
+             "--length", "9", "--seed", "0"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: bad --params: phi given twice\n"
+
     def test_unknown_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--kind", "ar2", "--length", "9", "--seed", "0"])
@@ -307,6 +317,18 @@ class TestRollCommand:
 
 
 class TestErrorHandling:
+    def test_negative_seed_names_the_argument(self, sim_csv, capsys):
+        for argv in (
+            ["avr", sim_csv, "--format", "wide", "--seed", "-1"],
+            ["gs", sim_csv, "--format", "wide", "--seed", "-1"],
+            ["roll", sim_csv, "--format", "wide", "--test", "avr", "--seed", "-1"],
+            ["simulate", "--kind", "iid_normal", "--length", "5", "--seed", "-1"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["describe", "no-such-file.csv"])
         assert code == 1

@@ -117,7 +117,7 @@ class TestRunRolling:
         with pytest.raises(ValueError, match="test must be one of"):
             run_rolling(s, WindowSpec(2), "ljung_box", BootstrapConfig(n_boot=9))
         for workers in (0, -1):
-            with pytest.raises(ValueError, match="workers must be at least 1"):
+            with pytest.raises(ValueError, match="workers must be an integer >= 1"):
                 run_rolling(s, WindowSpec(2), "avr", BootstrapConfig(n_boot=9), workers)
 
     def test_thin_window_marked_skipped(self):
