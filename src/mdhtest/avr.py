@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import AVR_DOMAIN, BootstrapConfig, draw_multipliers, substream
+from .bootstrap import AVR_DOMAIN, BootstrapConfig, _substreams, draw_multipliers
+# perfbench/workloads.py patches avr.substream, so the name stays bound here
+from .bootstrap import substream  # noqa: F401
 from .series import ReturnSeries, _checked, autocorrelations
 
 # AR(1) plug-in constant for the quadratic spectral kernel.
@@ -136,9 +138,10 @@ def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
     """AVR test with wild-bootstrap p-value and confidence band.
 
     Each replication j multiplies the series by fresh noise from
-    ``substream(boot.seed, AVR_DOMAIN, j)`` and recomputes the entire
-    pipeline, bandwidth re-selection included. Replications run in chunks
-    of ``_CHUNK_BYTES // (8 (T-1))`` rows (at least one): the noise and the
+    ``substream(boot.seed, AVR_DOMAIN, j)`` (derived in bulk by
+    ``_substreams``) and recomputes the entire pipeline, bandwidth
+    re-selection included. Replications run in chunks of
+    ``_CHUNK_BYTES // (8 (T-1))`` rows (at least one): the noise and the
     autocorrelations are computed one replication at a time, then one
     vectorized pass gives the chunk's bandwidths, QS weights and statistics.
     A replication's statistic is bit-identical whatever chunk it falls in.
@@ -151,10 +154,11 @@ def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
     rows = min(boot.n_boot, max(1, _CHUNK_BYTES // (8 * (T - 1))))
     rho = np.empty((rows, T - 1))
     boot_stats = np.empty(boot.n_boot)
+    streams = _substreams(boot.seed, AVR_DOMAIN, 0, boot.n_boot)
     for start in range(0, boot.n_boot, rows):
         stop = min(start + rows, boot.n_boot)
-        for i, j in enumerate(range(start, stop)):
-            eta = draw_multipliers(substream(boot.seed, AVR_DOMAIN, j), boot.multiplier, T)
+        for i, rng in zip(range(stop - start), streams):
+            eta = draw_multipliers(rng, boot.multiplier, T)
             rho[i] = autocorrelations(eta * values)
         boot_stats[start:stop] = _chunk_statistics(rho[: stop - start], T)[0]
     exceed = int(np.sum(np.abs(boot_stats) >= abs(statistic)))

@@ -4,7 +4,8 @@ Every stochastic operation derives an independent random stream from
 (master seed, context indices) via :func:`substream`; nothing touches global
 RNG state. Replication j of a bootstrap always reads stream
 ``substream(seed, domain, j)``, so results do not depend on execution order
-or worker count.
+or worker count. A test takes its replications' streams from
+:func:`_substreams`, which derives the same streams in bulk.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ _MAMMEN_LOW = (1.0 - _SQRT5) / 2.0
 _MAMMEN_HIGH = (1.0 + _SQRT5) / 2.0
 _MAMMEN_P_LOW = (_SQRT5 + 1.0) / (2.0 * _SQRT5)
 
+# numpy's SeedSequence hash (bit_generator.pyx) and PCG64's multiplier.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# Keys hashed per block by _substreams: memory stays flat in the key count.
+_KEY_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -47,6 +59,102 @@ class BootstrapConfig:
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for the given (seed, context indices) path."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+
+
+def _words(n: int) -> list:
+    """``n`` as 32-bit words, least significant first; [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words (ints or uint32 arrays)."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence's pool for entropy words that are ints or uint32 arrays.
+
+    numpy's ``mix_entropy`` with pool size 4. Its hash constant steps the
+    same way whatever the words are, so one pass hashes every key whose
+    words are array elements, and constant words stay Python ints.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg_states(pool: list) -> list:
+    """PCG64 (state, inc) per key of a pool, as ``PCG64(SeedSequence)`` seeds.
+
+    ``generate_state(4, uint64)`` on each key's pool, then PCG64's
+    ``srandom``: inc = 2 initseq + 1, state = (inc + initstate) mult + inc
+    mod 2^128.
+    """
+    const = _INIT_B
+    halves = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    words = np.stack(halves, axis=1).astype("<u4").view("<u8").tolist()
+    out = []
+    for hi_state, lo_state, hi_seq, lo_seq in words:
+        inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
+        state = ((hi_state << 64 | lo_state) + inc) * _PCG_MULT + inc
+        out.append((state & _MASK128, inc))
+    return out
+
+
+def _substreams(seed: int, domain: int, start: int, stop: int):
+    """Generators bit-identical to ``substream(seed, domain, j)``, j in [start, stop).
+
+    The keys are hashed ``_KEY_BLOCK`` at a time as uint32 arrays, and each
+    yielded generator is one reused ``Generator`` set to key j's state, so
+    it is valid only until the next one is taken.
+    """
+    # with a spawn key, SeedSequence pads the seed's words to the pool size
+    prefix = _words(seed)
+    prefix += [0] * (_POOL - len(prefix)) + _words(domain)
+    rng = np.random.default_rng(0)
+    j = start
+    while j < stop:
+        # every key of a block shares j's words above the lowest
+        high = j >> 32
+        n = min(stop, j + _KEY_BLOCK, (high + 1) << 32) - j
+        low = np.arange(j & _MASK32, (j & _MASK32) + n, dtype=np.uint32)
+        entropy = prefix + [low] + _words(j)[1:]
+        # scoped to the hash: the caller's draws between yields keep its own
+        with np.errstate(over="ignore"):
+            states = _pcg_states(_seed_pool(entropy))
+        for state, inc in states:
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+        j += n
 
 
 def derive_seed(seed: int, *path: int) -> int:

@@ -21,7 +21,7 @@ from .dgp import KINDS, DgpSpec, generate
 from .gs import gs_test, truncation_bound
 from .panel import FORMATS, equal_weight_series, load_panel
 from .rolling import TESTS, WindowSpec, run_rolling
-from .series import FREQUENCIES, describe
+from .series import FREQUENCIES, _count, describe
 
 _ROLL_COLUMNS = (
     "window_start",
@@ -83,16 +83,6 @@ def _max_lag(text: str):
         ) from None
 
 
-def _workers(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
-
-
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="CSV panel of per-instrument returns")
     p.add_argument(
@@ -149,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-years", type=int, default=1)
     p.add_argument("--min-obs", type=int, default=30)
     p.add_argument(
-        "--workers", type=_workers, default=1,
+        "--workers", type=int, default=1,
         help="threads that run windows in parallel (default: 1)",
     )
     _add_boot_args(p)
@@ -255,6 +245,7 @@ def _cmd_gs(args) -> int:
 
 
 def _cmd_roll(args) -> int:
+    workers = _count(args.workers, "workers", 1)
     window_years = args.window_years
     if window_years is None:
         window_years = WindowSpec.for_frequency(args.frequency).window_years
@@ -265,7 +256,7 @@ def _cmd_roll(args) -> int:
     )
     boot = _boot_config(args)
     series = _load_series(args, args.frequency)
-    result = run_rolling(series, spec, args.test, boot, workers=args.workers)
+    result = run_rolling(series, spec, args.test, boot, workers=workers)
     buf = io.StringIO()
     rows = _csv_writer(buf, lineterminator="\n")
     rows.writerow(_ROLL_COLUMNS)

@@ -16,6 +16,7 @@ yields the same series, and nothing touches global RNG state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -33,6 +34,19 @@ _PARAM_NAMES = {
     "bilinear": frozenset({"b"}),
 }
 _START_DATE = np.datetime64("2000-01-03", "D")
+
+
+def _param(name: str, value) -> float:
+    """``value`` as a float if it is a finite real (not a bool); else a ValueError."""
+    v = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not math.isfinite(v):
+        raise ValueError(f"param {name} must be a finite real, got {value!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -57,10 +71,9 @@ class DgpSpec:
             raise ValueError(
                 f"{self.kind} takes params {sorted(expected)}, got {sorted(got)}"
             )
-        for name, value in self.params.items():
-            v = float(value)
-            if not math.isfinite(v):
-                raise ValueError(f"param {name} must be finite, got {value!r}")
+        object.__setattr__(
+            self, "params", {name: _param(name, v) for name, v in self.params.items()}
+        )
         recursive = self.kind in _RECURSIVE
         # recursive processes need warmup to forget their start state
         burn_in = (200 if recursive else 0) if self.burn_in is None else self.burn_in
@@ -72,13 +85,11 @@ class DgpSpec:
     def _check_stationarity(self):
         p = self.params
         if self.kind == "ar1":
-            phi = float(p["phi"])
+            phi = p["phi"]
             if not abs(phi) < 1.0:
                 raise ValueError(f"ar1 requires |phi| < 1, got phi={phi}")
         elif self.kind == "garch11":
-            omega = float(p["omega"])
-            alpha = float(p["alpha"])
-            beta = float(p["beta"])
+            omega, alpha, beta = p["omega"], p["alpha"], p["beta"]
             if omega <= 0.0:
                 raise ValueError(f"garch11 requires omega > 0, got {omega}")
             if alpha < 0.0 or beta < 0.0:
@@ -90,7 +101,7 @@ class DgpSpec:
                     f"garch11 requires alpha + beta < 1, got {alpha + beta}"
                 )
         elif self.kind == "bilinear":
-            b = float(p["b"])
+            b = p["b"]
             if not abs(b) < 1.0:
                 raise ValueError(f"bilinear requires |b| < 1, got b={b}")
 
@@ -102,16 +113,15 @@ def generate(spec: DgpSpec) -> ReturnSeries:
     if spec.kind == "iid_normal":
         y = rng.standard_normal(total)
     elif spec.kind == "ar1":
-        phi = float(spec.params["phi"])
+        phi = spec.params["phi"]
         eps = rng.standard_normal(total)
         y = np.empty(total)
         y[0] = eps[0]
         for t in range(1, total):
             y[t] = phi * y[t - 1] + eps[t]
     elif spec.kind == "garch11":
-        omega = float(spec.params["omega"])
-        alpha = float(spec.params["alpha"])
-        beta = float(spec.params["beta"])
+        p = spec.params
+        omega, alpha, beta = p["omega"], p["alpha"], p["beta"]
         eps = rng.standard_normal(total)
         y = np.empty(total)
         h = omega / (1.0 - alpha - beta)  # unconditional variance
@@ -119,7 +129,7 @@ def generate(spec: DgpSpec) -> ReturnSeries:
             y[t] = math.sqrt(h) * eps[t]
             h = omega + alpha * y[t] * y[t] + beta * h
     else:
-        b = float(spec.params["b"])
+        b = spec.params["b"]
         eps = rng.standard_normal(total)
         y = np.empty(total)
         y[0] = eps[0]

@@ -85,7 +85,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import GS_DOMAIN, BootstrapConfig, draw_multipliers, substream
+from .bootstrap import GS_DOMAIN, BootstrapConfig, _substreams, draw_multipliers
+# perfbench/workloads.py patches gs.substream, so the name stays bound here
+from .bootstrap import substream  # noqa: F401
 from .series import ReturnSeries, _checked, _count, _fast_len
 
 # Certified error of the Gram factor, relative to the statistic.
@@ -325,9 +327,10 @@ def _bracket(fit: _Fit, eta: np.ndarray, work: tuple | None = None) -> tuple:
 def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     """Bootstrap statistics at or above the observed one.
 
-    Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``. Each is
-    bracketed over ``fit.split`` columns; those the bracket leaves open
-    are evaluated at full rank, _BATCH at a time.
+    Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``, derived in
+    bulk by ``_substreams``. Each is bracketed over ``fit.split`` columns;
+    those the bracket leaves open are evaluated at full rank, _BATCH at a
+    time.
     """
     T = len(fit.z)
     K = len(fit.spectra)
@@ -335,12 +338,13 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     rows = _BATCH * K // fit.split if fit.split < K else _BATCH
     work = _workspace(fit, _BATCH)
     exceed = 0
+    streams = _substreams(boot.seed, GS_DOMAIN, 0, boot.n_boot)
     for start in range(0, boot.n_boot, rows):
         stop = min(start + rows, boot.n_boot)
         eta = np.array(
             [
-                draw_multipliers(substream(boot.seed, GS_DOMAIN, b), boot.multiplier, T)
-                for b in range(start, stop)
+                draw_multipliers(rng, boot.multiplier, T)
+                for _, rng in zip(range(stop - start), streams)
             ]
         )
         if fit.split < K:

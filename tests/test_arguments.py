@@ -4,8 +4,11 @@ A count must be an integer at or above its bound (and at most its upper
 bound, for lags): a float, a bool, a string or an out-of-range integer is a
 ValueError that names the argument, and a numpy integer is accepted and
 stored as a plain int. A named choice outside its options is a ValueError
-with one shared wording.
+with one shared wording. A DgpSpec param must be a finite real (an int, a
+float or a numpy real, never a bool or a string); it is stored as a float.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,3 +153,32 @@ def test_choice_refuses(entry, bad):
     with pytest.raises(ValueError) as exc:
         call(bad)
     assert str(exc.value) == f"{name} must be one of {options}, got {bad!r}"
+
+
+# (kind, the param under test, the other params of that kind)
+PARAMS = {
+    "ar1.phi": ("ar1", "phi", {}),
+    "garch11.alpha": ("garch11", "alpha", {"omega": 0.1, "beta": 0.5}),
+    "bilinear.b": ("bilinear", "b", {}),
+}
+BAD_PARAMS = ["abc", "0.5", None, True, np.True_, float("nan"), float("inf"),
+              10**400, [0.5], 0.5j]
+
+
+@pytest.mark.parametrize("entry", list(PARAMS))
+@pytest.mark.parametrize("bad", BAD_PARAMS, ids=repr)
+def test_param_refuses(entry, bad):
+    kind, name, others = PARAMS[entry]
+    with pytest.raises(ValueError) as exc:
+        DgpSpec(kind, 5, 0, {**others, name: bad})
+    assert str(exc.value) == f"param {name} must be a finite real, got {bad!r}"
+
+
+@pytest.mark.parametrize("entry", list(PARAMS))
+@pytest.mark.parametrize(
+    "good", [0, 0.25, np.float32(0.25), np.int64(0), Fraction(1, 4)], ids=repr
+)
+def test_param_accepts_real_and_stores_float(entry, good):
+    kind, name, others = PARAMS[entry]
+    stored = DgpSpec(kind, 5, 0, {**others, name: good}).params[name]
+    assert type(stored) is float and stored == float(good)

@@ -17,9 +17,10 @@ from mdhtest import (
     qs_kernel,
     variance_ratio,
 )
+from mdhtest import avr
 from mdhtest.avr import _CHUNK_BYTES, _bandwidth_from_rho1, _pipeline
-from mdhtest.bootstrap import AVR_DOMAIN, draw_multipliers, substream
-from mdhtest.series import _DIRECT_ACV_LIMIT
+from mdhtest.bootstrap import AVR_DOMAIN, _substreams, draw_multipliers, substream
+from mdhtest.series import _DIRECT_ACV_LIMIT, autocorrelations
 from conftest import make_series
 from reference import ref_avr_statistic, ref_qs_kernel, random_series_values
 
@@ -175,6 +176,29 @@ class TestAvrTest:
                 n_boot=boot.n_boot,
             )
             assert out == want, (T, n_boot, law)
+
+    def test_one_draw_per_replication(self, monkeypatch):
+        # the benchmark's tracer counts these calls through avr's globals:
+        # one draw per replication, one autocorrelation pass for the observed
+        # series and one per replication
+        streams, draws, acfs = [], [], []
+
+        def counted(calls, fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(avr, "_substreams", counted(streams, _substreams))
+        monkeypatch.setattr(avr, "draw_multipliers", counted(draws, draw_multipliers))
+        monkeypatch.setattr(avr, "autocorrelations", counted(acfs, autocorrelations))
+        # T = 300 runs 27 replications per chunk: two chunks share one stream
+        values = random_series_values(np.random.default_rng(17), 300)
+        avr_test(make_series(values), BootstrapConfig(n_boot=39, seed=11))
+        assert streams == [(11, AVR_DOMAIN, 0, 39)]
+        assert len(draws) == 39
+        assert len(acfs) == 40
 
     def test_long_series_bounded_memory(self):
         # one chunk of 32 replications would hold 32 x 10 000 autocorrelations

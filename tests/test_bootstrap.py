@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mdhtest import (
     draw_multipliers,
     substream,
 )
+from mdhtest.bootstrap import _KEY_BLOCK, _substreams
 
 
 class TestBootstrapConfig:
@@ -43,6 +45,51 @@ class TestSubstreams:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    def test_bulk_streams_match_substream_draw_for_draw(self):
+        # 32 (seed, domain) pairs x 3 602 keys: runs that cross a hash block,
+        # 10^6, and 2^32 (where j takes a second word); laws rotate by pair
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**32 + 17, 2**64 - 1, 2**64, 2**130 + 5]
+        ranges = [(0, 2100), (999_500, 1_000_500), (2**32 - 2, 2**32 + 500)]
+        assert ranges[0][1] > _KEY_BLOCK
+        keys = mismatched = 0
+        for s, seed in enumerate(seeds):
+            for domain in (1, 2, 3, 4):
+                law = MULTIPLIERS[(s + domain) % 3]
+                for start, stop in ranges:
+                    got = [
+                        draw_multipliers(rng, law, 6)
+                        for rng in _substreams(seed, domain, start, stop)
+                    ]
+                    want = [
+                        draw_multipliers(substream(seed, domain, j), law, 6)
+                        for j in range(start, stop)
+                    ]
+                    keys += len(want)
+                    mismatched += sum(
+                        not np.array_equal(g, w) for g, w in zip(got, want, strict=True)
+                    )
+        assert keys >= 100_000
+        assert mismatched == 0
+
+    def test_bulk_streams_start_anywhere(self):
+        # j = 2^64 takes three words; an empty range yields nothing
+        for start, stop in [(5, 9), (2**64 - 2, 2**64 + 2), (7, 7)]:
+            got = [rng.random(3) for rng in _substreams(3, 2, start, stop)]
+            want = [substream(3, 2, j).random(3) for j in range(start, stop)]
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_bulk_streams_bounded_memory(self):
+        # hashing 2e5 keys at once would hold tens of MB of states
+        tracemalloc.start()
+        try:
+            n = sum(1 for _ in _substreams(9, 1, 0, 200_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 200_000
+        assert peak < 2 * 2**20
 
     def test_derive_seed_deterministic_and_distinct(self):
         seeds = [derive_seed(9, 3, w) for w in range(64)]

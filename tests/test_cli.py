@@ -329,6 +329,14 @@ class TestErrorHandling:
             assert out == ""
             assert err == "error: seed must be an integer >= 0, got -1\n"
 
+    def test_zero_workers_names_the_argument_before_reading_input(self, capsys):
+        argv = ["roll", "no-such-file.csv", "--format", "wide", "--test", "avr",
+                "--workers", "0"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: workers must be an integer >= 1, got 0\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["describe", "no-such-file.csv"])
         assert code == 1
@@ -368,8 +376,8 @@ class TestErrorHandling:
     def test_invalid_choice_is_usage_error(self, sim_csv, capsys):
         for argv, message in [
             (["roll", sim_csv, "--test", "box"], "invalid choice: 'box'"),
-            (["roll", sim_csv, "--test", "avr", "--workers", "0"],
-             "expected a positive integer, got '0'"),
+            (["roll", sim_csv, "--test", "avr", "--workers", "abc"],
+             "invalid int value: 'abc'"),
             (["avr", sim_csv, "--workers", "1"], "unrecognized arguments"),
             (["gs", sim_csv, "--workers", "1"], "unrecognized arguments"),
             (["describe", sim_csv, "--frequency", "weekly"], "unrecognized arguments"),

@@ -16,7 +16,7 @@ from mdhtest import (
     truncation_bound,
 )
 from mdhtest import gs
-from mdhtest.bootstrap import GS_DOMAIN, draw_multipliers, substream
+from mdhtest.bootstrap import GS_DOMAIN, _substreams, draw_multipliers, substream
 from mdhtest.gs import _SLACK, _bracket, _exceedances, _fit, _replicate
 from conftest import make_series
 from reference import (
@@ -382,22 +382,21 @@ class TestGsTest:
         # the benchmark's tracer counts these calls through gs's globals;
         # this series leaves one replication to the full-rank pass, which
         # must reuse its multipliers rather than draw them again
-        calls = {"substream": 0, "draw_multipliers": 0}
+        streams, draws = [], []
 
-        def counted(name, fn):
+        def counted(calls, fn):
             def wrapper(*args):
-                calls[name] += 1
+                calls.append(args)
                 return fn(*args)
 
             return wrapper
 
-        monkeypatch.setattr(gs, "substream", counted("substream", substream))
-        monkeypatch.setattr(
-            gs, "draw_multipliers", counted("draw_multipliers", draw_multipliers)
-        )
+        monkeypatch.setattr(gs, "_substreams", counted(streams, _substreams))
+        monkeypatch.setattr(gs, "draw_multipliers", counted(draws, draw_multipliers))
         values = 100.0 * random_series_values(np.random.default_rng(16), 300)
         gs_test(make_series(values), BootstrapConfig(n_boot=39, seed=11))
-        assert calls == {"substream": 39, "draw_multipliers": 39}
+        assert streams == [(11, GS_DOMAIN, 0, 39)]
+        assert len(draws) == 39
 
     def test_p_value_grid_and_range(self):
         s = make_series(random_series_values(np.random.default_rng(37), 40))
