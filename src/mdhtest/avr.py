@@ -26,7 +26,7 @@ import numpy as np
 from .bootstrap import AVR_DOMAIN, BootstrapConfig, _substreams, draw_multipliers
 # perfbench/workloads.py patches avr.substream, so the name stays bound here
 from .bootstrap import substream  # noqa: F401
-from .series import ReturnSeries, _checked, autocorrelations
+from .series import ReturnSeries, _checked, _real, autocorrelations
 
 # AR(1) plug-in constant for the quadratic spectral kernel.
 _QS_BANDWIDTH_CONST = 1.3221
@@ -116,10 +116,11 @@ def _pipeline(values: np.ndarray) -> tuple[float, float, float]:
 def variance_ratio(series: ReturnSeries, k: float) -> float:
     """Kernel-weighted variance ratio VR(k) over all T-1 lags, no truncation."""
     values = _checked(series.values, 4)
-    if not (np.isfinite(k) and k > 0):
+    period = _real(k, "holding period k")
+    if period <= 0:
         raise ValueError(f"holding period k must be positive, got {k}")
     rho = autocorrelations(values)
-    return float(_variance_ratios(rho[None, :], np.array([k], dtype=np.float64))[0])
+    return float(_variance_ratios(rho[None, :], np.array([period]))[0])
 
 
 def auto_bandwidth(series: ReturnSeries) -> float:

@@ -219,7 +219,7 @@ def _cmd_gs(args) -> int:
         bound = truncation_bound(series, outcome.max_lag_used)
         print(
             f"lag truncation at {outcome.max_lag_used}: "
-            f"omitted statistic mass <= {bound:.6g}",
+            f"omitted statistic mass <= {_fmt(bound)}",
             file=sys.stderr,
         )
     _emit(

@@ -16,14 +16,13 @@ yields the same series, and nothing touches global RNG state.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .bootstrap import DGP_DOMAIN, substream
-from .series import FREQUENCIES, ReturnSeries, _choice, _count
+from .series import FREQUENCIES, ReturnSeries, _choice, _count, _real
 
 KINDS = ("iid_normal", "ar1", "garch11", "bilinear")
 _RECURSIVE = ("ar1", "garch11", "bilinear")
@@ -34,19 +33,6 @@ _PARAM_NAMES = {
     "bilinear": frozenset({"b"}),
 }
 _START_DATE = np.datetime64("2000-01-03", "D")
-
-
-def _param(name: str, value) -> float:
-    """``value`` as a float if it is a finite real (not a bool); else a ValueError."""
-    v = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            v = float(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-    if not math.isfinite(v):
-        raise ValueError(f"param {name} must be a finite real, got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -71,9 +57,8 @@ class DgpSpec:
             raise ValueError(
                 f"{self.kind} takes params {sorted(expected)}, got {sorted(got)}"
             )
-        object.__setattr__(
-            self, "params", {name: _param(name, v) for name, v in self.params.items()}
-        )
+        params = {name: _real(v, f"param {name}") for name, v in self.params.items()}
+        object.__setattr__(self, "params", params)
         recursive = self.kind in _RECURSIVE
         # recursive processes need warmup to forget their start state
         burn_in = (200 if recursive else 0) if self.burn_in is None else self.burn_in

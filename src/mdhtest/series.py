@@ -10,6 +10,7 @@ convention under which the Jarque-Bera statistic recomputed from published
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -184,6 +185,19 @@ def _count(value, name: str, low: int, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(n)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float if it is a finite real (not a bool); else a ValueError."""
+    v = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return v
 
 
 def _choice(value, options: tuple, name: str):

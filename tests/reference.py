@@ -77,8 +77,9 @@ def ref_gs_statistic(values, max_lag=None):
     return math.fsum(total)
 
 
-def ref_gs_statistic_expm1(values, max_lag=None):
-    """The same triple loop with each weight split as 1 + expm1(.).
+def ref_gs_statistic_expm1(values, max_lag=None, first_lag=1):
+    """The same triple loop, over lags first_lag..max_lag, with each weight
+    split as 1 + expm1(.).
 
     The constant part contracts to (sum_t e_t)^2, which centering makes
     zero up to roundoff, and what remains is accurate to the data's own
@@ -90,7 +91,7 @@ def ref_gs_statistic_expm1(values, max_lag=None):
     T = len(values)
     J = T - 1 if max_lag is None else max_lag
     total = []
-    for j in range(1, J + 1):
+    for j in range(first_lag, J + 1):
         n = T - j
         kept = [Fraction(v) for v in values[j:]]
         ybar = sum(kept, Fraction(0)) / n
@@ -103,6 +104,28 @@ def ref_gs_statistic_expm1(values, max_lag=None):
                 acc.append(e[a] * e[b] * math.expm1(-0.5 * d * d))
         total.append(gamma * math.fsum(acc))
     return math.fsum(total)
+
+
+def ref_gs_truncated_masses(values, max_lags):
+    """Statistic mass of lags J+1..T-1, dropped by truncation at J, for
+    each J in max_lags. Each lag term is evaluated once."""
+    T = len(values)
+    terms = [ref_gs_statistic_expm1(values, j, first_lag=j) for j in range(1, T)]
+    return [math.fsum(terms[J:]) for J in max_lags]
+
+
+def ref_gs_sum_abs_bound(values, max_lag):
+    """A loose bound on the truncated mass: gamma_j * (sum_t |e_t^(j)|)^2
+    per omitted lag, using that every Gram entry lies in (0, 1]."""
+    values = np.asarray(values, dtype=np.float64)
+    T = len(values)
+    J = max_lag
+    bound = 0.0
+    for j in range(J + 1, T):
+        c = values[j:] - values[j:].mean()
+        s = float(np.abs(c).sum())
+        bound += (T - j) / (j * np.pi) ** 2 * s * s
+    return bound
 
 
 def ref_jarque_bera(values):

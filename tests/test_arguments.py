@@ -4,8 +4,9 @@ A count must be an integer at or above its bound (and at most its upper
 bound, for lags): a float, a bool, a string or an out-of-range integer is a
 ValueError that names the argument, and a numpy integer is accepted and
 stored as a plain int. A named choice outside its options is a ValueError
-with one shared wording. A DgpSpec param must be a finite real (an int, a
-float or a numpy real, never a bool or a string); it is stored as a float.
+with one shared wording. A DgpSpec param and variance_ratio's holding
+period k must be finite reals (an int, a float or a numpy real, never a bool
+or a string); a param is stored as a float, and k must also be positive.
 """
 
 from fractions import Fraction
@@ -31,6 +32,7 @@ from mdhtest import (
     load_panel,
     run_rolling,
     truncation_bound,
+    variance_ratio,
 )
 
 _T = 40
@@ -155,23 +157,39 @@ def test_choice_refuses(entry, bad):
     assert str(exc.value) == f"{name} must be one of {options}, got {bad!r}"
 
 
-# (kind, the param under test, the other params of that kind)
+def _stored(kind, name, **others):
+    """call(value): the float a DgpSpec of ``kind`` stores for param ``name``."""
+    return lambda v: DgpSpec(kind, 5, 0, {**others, name: v}).params[name]
+
+
+# (the name its error gives, call(value))
 PARAMS = {
-    "ar1.phi": ("ar1", "phi", {}),
-    "garch11.alpha": ("garch11", "alpha", {"omega": 0.1, "beta": 0.5}),
-    "bilinear.b": ("bilinear", "b", {}),
+    "ar1.phi": ("param phi", _stored("ar1", "phi")),
+    "garch11.alpha": ("param alpha", _stored("garch11", "alpha", omega=0.1, beta=0.5)),
+    "bilinear.b": ("param b", _stored("bilinear", "b")),
+}
+REALS = {
+    **PARAMS,
+    "variance_ratio.k": ("holding period k", lambda v: variance_ratio(SHORT, v)),
 }
 BAD_PARAMS = ["abc", "0.5", None, True, np.True_, float("nan"), float("inf"),
               10**400, [0.5], 0.5j]
 
 
-@pytest.mark.parametrize("entry", list(PARAMS))
+@pytest.mark.parametrize("entry", list(REALS))
 @pytest.mark.parametrize("bad", BAD_PARAMS, ids=repr)
 def test_param_refuses(entry, bad):
-    kind, name, others = PARAMS[entry]
+    name, call = REALS[entry]
     with pytest.raises(ValueError) as exc:
-        DgpSpec(kind, 5, 0, {**others, name: bad})
-    assert str(exc.value) == f"param {name} must be a finite real, got {bad!r}"
+        call(bad)
+    assert str(exc.value) == f"{name} must be a finite real, got {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "good", [2, 2.0, np.float32(2.0), np.int64(2), Fraction(2)], ids=repr
+)
+def test_holding_period_accepts_real(good):
+    assert variance_ratio(SHORT, good) == variance_ratio(SHORT, 2.0)
 
 
 @pytest.mark.parametrize("entry", list(PARAMS))
@@ -179,6 +197,6 @@ def test_param_refuses(entry, bad):
     "good", [0, 0.25, np.float32(0.25), np.int64(0), Fraction(1, 4)], ids=repr
 )
 def test_param_accepts_real_and_stores_float(entry, good):
-    kind, name, others = PARAMS[entry]
-    stored = DgpSpec(kind, 5, 0, {**others, name: good}).params[name]
+    _, call = PARAMS[entry]
+    stored = call(good)
     assert type(stored) is float and stored == float(good)

@@ -100,8 +100,11 @@ class TestVarianceRatio:
 
     def test_rejects_bad_holding_period(self):
         s = make_series(np.random.default_rng(0).standard_normal(10))
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, 0, np.int64(-2)):
+            with pytest.raises(ValueError, match="holding period k must be positive"):
+                variance_ratio(s, bad)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="holding period k must be a finite"):
                 variance_ratio(s, bad)
 
     def test_matches_brute_force_up_to_t_1000(self):

@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import mdhtest
-from mdhtest import BootstrapConfig, WindowSpec, avr_test, gs_test, run_rolling
-from mdhtest.cli import main
+from mdhtest import (
+    BootstrapConfig, WindowSpec, avr_test, gs_statistic, gs_test, run_rolling,
+)
+from mdhtest.cli import _render_json, main
 from mdhtest.panel import equal_weight_series, load_panel
 
 
@@ -192,12 +194,20 @@ class TestGsCommand:
         parsed = json.loads(out)
         assert list(parsed) == ["statistic", "p_value", "n_boot", "max_lag_used"]
         assert parsed["max_lag_used"] == 5
-        want = gs_test(
-            load_series(sim_csv), BootstrapConfig(n_boot=19, seed=7), max_lag=5
-        )
+        series = load_series(sim_csv)
+        want = gs_test(series, BootstrapConfig(n_boot=19, seed=7), max_lag=5)
         assert parsed["statistic"] == want.statistic
         assert parsed["p_value"] == want.p_value
-        assert "lag truncation at 5: omitted statistic mass <=" in err
+        assert out == _render_json(
+            [("statistic", want.statistic), ("p_value", want.p_value),
+             ("n_boot", 19), ("max_lag_used", 5)]
+        )
+        # the note's bound is tight on the mass the truncation drops
+        note = "lag truncation at 5: omitted statistic mass <= "
+        line = next(line for line in err.splitlines() if line.startswith(note))
+        bound = float(line[len(note):])
+        dropped = gs_statistic(series) - gs_statistic(series, max_lag=5)
+        assert dropped <= bound <= dropped * (1 + 1e-10)
         assert "GS statistic" in err
         assert f"Gram factor rank {want.rank}, certified error <=" in err
 

@@ -23,6 +23,8 @@ from reference import (
     random_series_values,
     ref_gs_statistic,
     ref_gs_statistic_expm1,
+    ref_gs_sum_abs_bound,
+    ref_gs_truncated_masses,
 )
 
 
@@ -130,6 +132,49 @@ class TestTruncationBound:
     def test_full_lag_bound_is_zero(self):
         s = make_series(random_series_values(np.random.default_rng(29), 15))
         assert truncation_bound(s, "full") == 0.0
+
+    @staticmethod
+    def _regimes(rng, T):
+        decimal = random_series_values(rng, T)
+        yield "decimal", decimal
+        yield "percent", decimal * 100.0
+        yield "offset", decimal + 100.0
+        yield "ties", np.round(decimal * 100.0, 2)
+        yield "sd 1", rng.standard_normal(T)
+        # three distinct values: the factor is exact, tr(R) = 0
+        yield "factor", rng.permutation(np.resize([-0.01, 0.0, 0.01], T))
+
+    @pytest.mark.parametrize("T", [3, 4, 30, 200])
+    def test_tight_against_oracle(self, T):
+        rng = np.random.default_rng(39 + T)
+        lags = sorted({J for J in (1, 3, T // 2, T - 3) if 1 <= J <= T - 1})
+        for regime, values in self._regimes(rng, T):
+            s = make_series(values)
+            # J = 0 drops every lag: the full-lag statistic
+            full, *masses = ref_gs_truncated_masses(list(values), [0, *lags])
+            for J, dropped in zip(lags, masses):
+                bound = truncation_bound(s, J)
+                case = (regime, T, J, bound, dropped)
+                assert dropped <= bound, case
+                # a zero dropped mass can come back as about 1e-44, so both
+                # upper checks allow 1e-12 of the full-lag statistic
+                assert bound <= dropped * (1 + 1e-10) + 1e-12 * full, case
+                assert bound <= ref_gs_sum_abs_bound(values, J) + 1e-12 * full, case
+
+    def test_covers_what_a_coarse_factor_leaves_out(self, monkeypatch):
+        # stop pivoting at 1% certified error: the factored terms alone fall
+        # short, and the tr(R) term has to make up the difference
+        monkeypatch.setattr(gs, "_REL_TOL", 1e-2)
+        rng = np.random.default_rng(40)
+        short = 0
+        for regime, values in self._regimes(rng, 30):
+            s = make_series(values)
+            fit = _fit(values, 29)
+            lags = (1, 3, 15)
+            for J, dropped in zip(lags, ref_gs_truncated_masses(list(values), lags)):
+                assert dropped <= truncation_bound(s, J), (regime, J)
+                short += math.fsum(fit.terms[J:]) * (1 + 1e-9) < dropped
+        assert short > 0
 
 
 class TestGramFactor:
@@ -420,6 +465,7 @@ class TestGsTest:
         tracemalloc.start()
         try:
             out = gs_test(s, BootstrapConfig(n_boot=19, seed=5))
+            bound = truncation_bound(s, 50)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -427,3 +473,4 @@ class TestGsTest:
         assert out.max_lag_used == 9_999
         assert 0.0 < out.p_value <= 1.0
         assert out.error_bound <= 1e-12 * out.statistic
+        assert 0.0 < bound < out.statistic
