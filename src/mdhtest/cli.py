@@ -14,6 +14,7 @@ import io
 import os
 import sys
 from csv import writer as _csv_writer
+from dataclasses import asdict, replace
 
 from .avr import avr_test
 from .bootstrap import MULTIPLIERS, BootstrapConfig
@@ -23,14 +24,15 @@ from .panel import FORMATS, equal_weight_series, load_panel
 from .rolling import TESTS, WindowSpec, run_rolling
 from .series import FREQUENCIES, _count, describe
 
+# GsOutcome's rank and error_bound describe the computation and go to stderr
+_GS_JSON = ("statistic", "p_value", "n_boot", "max_lag_used")
+# a gs window has no ci_low or ci_high, and a skipped window has none of these
+_ROLL_NUMBERS = ("statistic", "p_value", "ci_low", "ci_high")
 _ROLL_COLUMNS = (
     "window_start",
     "window_end",
     "n_obs",
-    "statistic",
-    "p_value",
-    "ci_low",
-    "ci_high",
+    *_ROLL_NUMBERS,
     "significant_5pct",
     "skip_reason",
 )
@@ -49,19 +51,28 @@ def _render_json(pairs) -> str:
 
 
 def _emit(text: str, out_path) -> None:
-    """Write the fully assembled output, atomically when it is a file."""
+    """Write the fully assembled output, atomically when it is a file.
+
+    The text goes to a new, uniquely named sibling of ``out_path`` that is
+    then renamed onto it, so no other file is written or removed.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
-    tmp = out_path + ".tmp"
+    tmp = f"{out_path}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+        # "x" refuses an existing file, which is then not ours to remove
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        # strerror, not str(exc), which would name the temporary file
+        raise OSError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _load_series(args, frequency="daily"):
@@ -92,11 +103,16 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_boot_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--B", type=int, default=500, help="bootstrap replications")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument(
-        "--eta", choices=MULTIPLIERS, default="normal",
-        help="wild-bootstrap multiplier law (default: normal)",
+        "--B", type=int, default=BootstrapConfig.n_boot,
+        help="bootstrap replications",
+    )
+    p.add_argument(
+        "--seed", type=int, default=BootstrapConfig.seed, help="master seed"
+    )
+    p.add_argument(
+        "--eta", choices=MULTIPLIERS, default=BootstrapConfig.multiplier,
+        help="wild-bootstrap multiplier law (default: %(default)s)",
     )
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -136,8 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-years", type=int, default=None,
         help="window width (default: 2 daily / 5 weekly)",
     )
-    p.add_argument("--step-years", type=int, default=1)
-    p.add_argument("--min-obs", type=int, default=30)
+    p.add_argument(
+        "--step-years", type=int, default=WindowSpec.step_years,
+        help="calendar years between window starts (default: %(default)s)",
+    )
+    p.add_argument(
+        "--min-obs", type=int, default=WindowSpec.min_observations,
+        help="fewest observations a window is tested on (default: %(default)s)",
+    )
     p.add_argument(
         "--workers", type=int, default=1,
         help="threads that run windows in parallel (default: 1)",
@@ -153,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
-        "--burn-in", type=int, default=None,
+        "--burn-in", type=int, default=DgpSpec.burn_in,
         help="warmup draws to discard (default: 200 recursive, 0 iid)",
     )
-    p.add_argument("--frequency", choices=FREQUENCIES, default="daily")
+    p.add_argument("--frequency", choices=FREQUENCIES, default=DgpSpec.frequency)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     return parser
 
@@ -168,38 +190,20 @@ def _cmd_describe(args) -> int:
         if summary.jb_p < level:
             stars = mark
             break
-    rows = [
-        ("size", str(summary.size)),
-        ("mean", f"{summary.mean:.6g}"),
-        ("std", f"{summary.std:.6g}"),
-        ("skewness", f"{summary.skewness:.6g}"),
-        ("kurtosis", f"{summary.kurtosis:.6g}"),
-        ("jarque_bera", f"{summary.jarque_bera:.6g}{stars}"),
-        ("jb_p", f"{summary.jb_p:.6g}"),
-    ]
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
-        print(f"{name:<{width}}  {value}")
+    rows = asdict(summary)
+    width = max(len(name) for name in rows)
+    for name, value in rows.items():
+        text = str(value) if isinstance(value, int) else f"{value:.6g}"
+        if name == "jarque_bera":
+            text += stars
+        print(f"{name:<{width}}  {text}")
     return 0
 
 
 def _cmd_avr(args) -> int:
     boot = _boot_config(args)
     outcome = avr_test(_load_series(args), boot)
-    _emit(
-        _render_json(
-            [
-                ("statistic", outcome.statistic),
-                ("vr", outcome.vr),
-                ("bandwidth", outcome.bandwidth),
-                ("p_value", outcome.p_value),
-                ("ci_low", outcome.ci_low),
-                ("ci_high", outcome.ci_high),
-                ("n_boot", outcome.n_boot),
-            ]
-        ),
-        args.out,
-    )
+    _emit(_render_json(asdict(outcome).items()), args.out)
     print(
         f"AVR statistic {outcome.statistic:.6g} "
         f"(VR {outcome.vr:.6g}, bandwidth {outcome.bandwidth:.6g}), "
@@ -223,14 +227,7 @@ def _cmd_gs(args) -> int:
             file=sys.stderr,
         )
     _emit(
-        _render_json(
-            [
-                ("statistic", outcome.statistic),
-                ("p_value", outcome.p_value),
-                ("n_boot", outcome.n_boot),
-                ("max_lag_used", outcome.max_lag_used),
-            ]
-        ),
+        _render_json((name, getattr(outcome, name)) for name in _GS_JSON),
         args.out,
     )
     print(
@@ -246,14 +243,10 @@ def _cmd_gs(args) -> int:
 
 def _cmd_roll(args) -> int:
     workers = _count(args.workers, "workers", 1)
-    window_years = args.window_years
-    if window_years is None:
-        window_years = WindowSpec.for_frequency(args.frequency).window_years
-    spec = WindowSpec(
-        window_years=window_years,
-        step_years=args.step_years,
-        min_observations=args.min_obs,
-    )
+    given = {"step_years": args.step_years, "min_observations": args.min_obs}
+    if args.window_years is not None:
+        given["window_years"] = args.window_years
+    spec = replace(WindowSpec.for_frequency(args.frequency), **given)
     boot = _boot_config(args)
     series = _load_series(args, args.frequency)
     result = run_rolling(series, spec, args.test, boot, workers=workers)
@@ -262,28 +255,19 @@ def _cmd_roll(args) -> int:
     rows.writerow(_ROLL_COLUMNS)
     n_sig = n_skip = 0
     for win in result.windows:
-        if win.outcome is None:
-            n_skip += 1
-            rows.writerow(
-                [str(win.start), str(win.end), win.n_obs, "", "", "", "", "",
-                 win.skip_reason]
-            )
-            continue
-        significant = win.significant_5pct
-        n_sig += bool(significant)
-        ci_low = getattr(win.outcome, "ci_low", None)
-        ci_high = getattr(win.outcome, "ci_high", None)
+        n_skip += win.outcome is None
+        n_sig += bool(win.significant_5pct)
+        numbers = [getattr(win.outcome, name, None) for name in _ROLL_NUMBERS]
+        significant = {None: "", True: "true", False: "false"}[win.significant_5pct]
+        # csv writes None as an empty cell
         rows.writerow(
             [
                 str(win.start),
                 str(win.end),
                 win.n_obs,
-                _fmt(win.outcome.statistic),
-                _fmt(win.outcome.p_value),
-                "" if ci_low is None else _fmt(ci_low),
-                "" if ci_high is None else _fmt(ci_high),
-                "true" if significant else "false",
-                "",
+                *(None if x is None else _fmt(x) for x in numbers),
+                significant,
+                win.skip_reason,
             ]
         )
     _emit(buf.getvalue(), args.out)

@@ -11,7 +11,7 @@ seed reproduces every window bit for bit.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -133,37 +133,22 @@ def run_rolling(
     def one_window(w: int) -> WindowResult:
         win = windows[w]
         n = win.hi - win.lo
+        outcome = skip_reason = None
         if n < spec.min_observations:
-            return WindowResult(
-                start=win.start,
-                end=win.end,
-                n_obs=n,
-                outcome=None,
-                skip_reason=f"insufficient observations: {n} < {spec.min_observations}",
-            )
-        child = BootstrapConfig(
-            n_boot=boot.n_boot,
-            multiplier=boot.multiplier,
-            seed=derive_seed(boot.seed, WINDOW_DOMAIN, w),
-        )
-        sub = series.slice(win.lo, win.hi)
-        try:
-            if test == "avr":
-                outcome = avr_test(sub, child)
-            else:
-                outcome = gs_test(sub, child)
-        except ValueError as exc:
-            return WindowResult(
-                start=win.start, end=win.end, n_obs=n, outcome=None,
-                skip_reason=str(exc),
-            )
+            skip_reason = f"insufficient observations: {n} < {spec.min_observations}"
+        else:
+            child = replace(boot, seed=derive_seed(boot.seed, WINDOW_DOMAIN, w))
+            sub = series.slice(win.lo, win.hi)
+            run_test = avr_test if test == "avr" else gs_test
+            try:
+                outcome = run_test(sub, child)
+            except ValueError as exc:
+                skip_reason = str(exc)
         return WindowResult(
-            start=win.start, end=win.end, n_obs=n, outcome=outcome, skip_reason=None
+            start=win.start, end=win.end, n_obs=n, outcome=outcome,
+            skip_reason=skip_reason,
         )
 
-    if workers == 1:
-        results = [one_window(w) for w in range(len(windows))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_window, range(len(windows))))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(one_window, range(len(windows))))
     return RollingResult(test=test, windows=tuple(results))

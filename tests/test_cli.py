@@ -9,8 +9,10 @@ import pytest
 
 import mdhtest
 from mdhtest import (
-    BootstrapConfig, WindowSpec, avr_test, gs_statistic, gs_test, run_rolling,
+    BootstrapConfig, DgpSpec, WindowSpec, avr_test, gs_statistic, gs_test,
+    run_rolling,
 )
+from mdhtest import cli
 from mdhtest.cli import _render_json, main
 from mdhtest.panel import equal_weight_series, load_panel
 
@@ -101,6 +103,70 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--kind", "ar2", "--length", "9", "--seed", "0"])
         assert exc.value.code == 2
+
+
+class TestOutFile:
+    ARGV = ["simulate", "--kind", "iid_normal", "--length", "5", "--seed", "0"]
+
+    def test_leaves_a_same_named_tmp_file_alone(self, tmp_path, capsys):
+        (tmp_path / "o.csv.tmp").write_text("mine\n")
+        assert main(self.ARGV + ["--out", str(tmp_path / "o.csv")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "o.csv.tmp").read_text() == "mine\n"
+        assert sorted(os.listdir(tmp_path)) == ["o.csv", "o.csv.tmp"]
+
+    def test_missing_directory_names_the_target(self, tmp_path, capsys):
+        out = str(tmp_path / "no" / "o.csv")
+        code, stdout, err = run(capsys, self.ARGV + ["--out", out])
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rename_leaves_no_stray_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, _, err = run(capsys, self.ARGV + ["--out", str(target)])
+        assert code == 1
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert os.listdir(tmp_path) == ["taken"]
+        assert os.listdir(target) == []
+
+
+class TestDefaultsComeFromTheLibrary:
+    """With no optional flags, the CLI builds the library's default configs."""
+
+    @staticmethod
+    def called(monkeypatch, capsys, name, argv):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(cli, name, record)
+        monkeypatch.setattr(cli, "_load_series", lambda args, frequency="daily": None)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: recorded\n"
+        return calls[0]
+
+    def test_avr(self, monkeypatch, capsys):
+        (_, boot), _ = self.called(monkeypatch, capsys, "avr_test", ["avr", "x.csv"])
+        assert boot == BootstrapConfig()
+
+    def test_roll(self, monkeypatch, capsys):
+        (_, spec, test, boot), kwargs = self.called(
+            monkeypatch, capsys, "run_rolling", ["roll", "x.csv", "--test", "avr"]
+        )
+        assert spec == WindowSpec.for_frequency("daily")
+        assert test == "avr"
+        assert boot == BootstrapConfig()
+        assert kwargs == {"workers": 1}
+
+    def test_simulate(self, monkeypatch, capsys):
+        argv = ["simulate", "--kind", "iid_normal", "--length", "5", "--seed", "0"]
+        (spec,), _ = self.called(monkeypatch, capsys, "generate", argv)
+        assert spec == DgpSpec(kind="iid_normal", length=5, seed=0)
 
 
 class TestDescribe:
