@@ -26,13 +26,17 @@ import numpy as np
 from .bootstrap import AVR_DOMAIN, BootstrapConfig, _substreams, draw_multipliers
 # perfbench/workloads.py patches avr.substream, so the name stays bound here
 from .bootstrap import substream  # noqa: F401
+from .series import DegenerateSeriesError
 from .series import ReturnSeries, _checked, _real, autocorrelations
 
 # AR(1) plug-in constant for the quadratic spectral kernel.
 _QS_BANDWIDTH_CONST = 1.3221
 
 # Below this |6*pi*x/5| the closed form cancels badly; use its Taylor series.
+# z^2 < its square exactly when |z| < it: the square rounds above the square
+# of the next float down, and rounding is monotone.
 _QS_SMALL_Z = 0.05
+_QS_SMALL_Z2 = _QS_SMALL_Z * _QS_SMALL_Z
 
 # Bytes of bootstrap autocorrelations per chunk: 32 replications at T = 250,
 # 15 at T = 520, one at T >= 8192, so working memory stays O(T).
@@ -55,19 +59,23 @@ class AvrOutcome:
 def qs_kernel(x):
     """Quadratic spectral kernel weight m(x); vectorizes over arrays.
 
-    m(x) = 3/z^2 * (sin z / z - cos z) with z = 6*pi*x/5, and m(0) = 1 by
-    the analytic limit. Even in x, peak value 1 at the origin.
+    m(x) = 3/z^2 * (sin z / z - cos z) with z = 6*pi*x/5, m(0) = 1 and
+    m(+-inf) = 0 by the analytic limits. Even in x, peak value 1 at the origin.
     """
-    z = 1.2 * np.pi * np.atleast_1d(np.asarray(x, dtype=np.float64))
-    z2 = z * z
-    small = np.abs(z) < _QS_SMALL_Z
-    # The closed form runs on every element, the few small ones included
-    # (z = 0 gives nan there), and the Taylor series overwrites those.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # The closed form runs on every element, the few small and infinite ones
+    # included (z = 0 and z = inf give nan there), and the Taylor series and
+    # the limit 0 overwrite those.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = 1.2 * np.pi * np.atleast_1d(np.asarray(x, dtype=np.float64))
+        z2 = z * z
         out = 3.0 / z2 * (np.sin(z) / z - np.cos(z))
+    small = z2 < _QS_SMALL_Z2
     if small.any():
         zs2 = z2[small]
         out[small] = 1.0 - zs2 / 10.0 + zs2 * zs2 / 280.0 - zs2**3 / 15120.0
+    huge = np.isinf(z2)
+    if huge.any():
+        out[huge] = 0.0
     if np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -120,7 +128,8 @@ def variance_ratio(series: ReturnSeries, k: float) -> float:
     if period <= 0:
         raise ValueError(f"holding period k must be positive, got {k}")
     rho = autocorrelations(values)
-    return float(_variance_ratios(rho[None, :], np.array([period]))[0])
+    with np.errstate(over="ignore"):  # lags / a tiny period overflow to inf
+        return float(_variance_ratios(rho[None, :], np.array([period]))[0])
 
 
 def auto_bandwidth(series: ReturnSeries) -> float:
@@ -146,6 +155,7 @@ def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
     autocorrelations are computed one replication at a time, then one
     vectorized pass gives the chunk's bandwidths, QS weights and statistics.
     A replication's statistic is bit-identical whatever chunk it falls in.
+    A replication that comes out constant counts as uncorrelated (statistic 0).
     The two-sided p-value uses the add-one rule; the band is the 2.5/97.5
     percentile pair of the bootstrap statistics.
     """
@@ -160,7 +170,12 @@ def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
         stop = min(start + rows, boot.n_boot)
         for i, rng in zip(range(stop - start), streams):
             eta = draw_multipliers(rng, boot.multiplier, T)
-            rho[i] = autocorrelations(eta * values)
+            try:
+                rho[i] = autocorrelations(eta * values)
+            except DegenerateSeriesError:
+                # a constant replication (Rademacher signs on equal |values|)
+                # has no serial correlation: bandwidth 1, VR 1, statistic 0
+                rho[i] = 0.0
         boot_stats[start:stop] = _chunk_statistics(rho[: stop - start], T)[0]
     exceed = int(np.sum(np.abs(boot_stats) >= abs(statistic)))
     p_value = (1.0 + exceed) / (boot.n_boot + 1.0)

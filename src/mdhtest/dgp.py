@@ -24,14 +24,15 @@ import numpy as np
 from .bootstrap import DGP_DOMAIN, substream
 from .series import FREQUENCIES, ReturnSeries, _choice, _count, _real
 
-KINDS = ("iid_normal", "ar1", "garch11", "bilinear")
-_RECURSIVE = ("ar1", "garch11", "bilinear")
+# The one declaration of the processes: each kind and the parameters it takes.
+# Every kind but iid_normal is a recursion that starts from its first draw.
 _PARAM_NAMES = {
     "iid_normal": frozenset(),
     "ar1": frozenset({"phi"}),
     "garch11": frozenset({"omega", "alpha", "beta"}),
     "bilinear": frozenset({"b"}),
 }
+KINDS = tuple(_PARAM_NAMES)
 _START_DATE = np.datetime64("2000-01-03", "D")
 
 
@@ -59,7 +60,7 @@ class DgpSpec:
             )
         params = {name: _real(v, f"param {name}") for name, v in self.params.items()}
         object.__setattr__(self, "params", params)
-        recursive = self.kind in _RECURSIVE
+        recursive = self.kind != "iid_normal"
         # recursive processes need warmup to forget their start state
         burn_in = (200 if recursive else 0) if self.burn_in is None else self.burn_in
         object.__setattr__(
@@ -69,11 +70,7 @@ class DgpSpec:
 
     def _check_stationarity(self):
         p = self.params
-        if self.kind == "ar1":
-            phi = p["phi"]
-            if not abs(phi) < 1.0:
-                raise ValueError(f"ar1 requires |phi| < 1, got phi={phi}")
-        elif self.kind == "garch11":
+        if self.kind == "garch11":
             omega, alpha, beta = p["omega"], p["alpha"], p["beta"]
             if omega <= 0.0:
                 raise ValueError(f"garch11 requires omega > 0, got {omega}")
@@ -85,39 +82,35 @@ class DgpSpec:
                 raise ValueError(
                     f"garch11 requires alpha + beta < 1, got {alpha + beta}"
                 )
-        elif self.kind == "bilinear":
-            b = p["b"]
-            if not abs(b) < 1.0:
-                raise ValueError(f"bilinear requires |b| < 1, got b={b}")
+        elif p:  # ar1 and bilinear: one coefficient, inside the unit interval
+            ((name, x),) = p.items()
+            if not abs(x) < 1.0:
+                raise ValueError(f"{self.kind} requires |{name}| < 1, got {name}={x}")
 
 
 def generate(spec: DgpSpec) -> ReturnSeries:
-    """Simulate the process, drop burn-in, attach evenly spaced dates."""
-    rng = substream(spec.seed, DGP_DOMAIN)
+    """Simulate the process, drop burn-in, attach evenly spaced dates.
+
+    One draw of innovations serves every kind: it is the iid series as
+    drawn, and the start value each recursion overwrites from its first
+    update on.
+    """
     total = spec.burn_in + spec.length
-    if spec.kind == "iid_normal":
-        y = rng.standard_normal(total)
-    elif spec.kind == "ar1":
+    eps = substream(spec.seed, DGP_DOMAIN).standard_normal(total)
+    y = eps.copy()
+    if spec.kind == "ar1":
         phi = spec.params["phi"]
-        eps = rng.standard_normal(total)
-        y = np.empty(total)
-        y[0] = eps[0]
         for t in range(1, total):
             y[t] = phi * y[t - 1] + eps[t]
     elif spec.kind == "garch11":
         p = spec.params
         omega, alpha, beta = p["omega"], p["alpha"], p["beta"]
-        eps = rng.standard_normal(total)
-        y = np.empty(total)
         h = omega / (1.0 - alpha - beta)  # unconditional variance
         for t in range(total):
             y[t] = math.sqrt(h) * eps[t]
             h = omega + alpha * y[t] * y[t] + beta * h
-    else:
+    elif spec.kind == "bilinear":
         b = spec.params["b"]
-        eps = rng.standard_normal(total)
-        y = np.empty(total)
-        y[0] = eps[0]
         for t in range(1, total):
             y[t] = b * y[t - 1] * eps[t - 1] + eps[t]
     step = np.timedelta64(1 if spec.frequency == "daily" else 7, "D")

@@ -57,6 +57,14 @@ class TestQsKernel:
     def test_decays(self):
         assert abs(qs_kernel(50.0)) < 1e-3
 
+    def test_limit_zero_at_infinity(self):
+        # z * z overflows from |z| ~ 1.3e154 on, and sin(inf) is nan; the
+        # suite turns the overflow RuntimeWarning into an error
+        for x in (math.inf, -math.inf, 1e200, -1e200, 1e308):
+            assert qs_kernel(x) == 0.0, x
+        out = qs_kernel(np.array([math.inf, 0.0, 1e200]))
+        assert out.tolist() == [0.0, 1.0, 0.0]
+
 
 class TestBandwidth:
     def test_plugin_arithmetic(self):
@@ -106,6 +114,12 @@ class TestVarianceRatio:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="holding period k must be a finite"):
                 variance_ratio(s, bad)
+
+    def test_tiny_holding_period_weighs_no_lag(self):
+        # every lag / k is at least 1e300 or overflows to inf: m = 0 there
+        s = make_series(random_series_values(np.random.default_rng(18), 50))
+        for k in (1e-300, 5e-324):
+            assert variance_ratio(s, k) == 1.0, k
 
     def test_matches_brute_force_up_to_t_1000(self):
         rng = np.random.default_rng(12)
@@ -202,6 +216,35 @@ class TestAvrTest:
         assert streams == [(11, AVR_DOMAIN, 0, 39)]
         assert len(draws) == 39
         assert len(acfs) == 40
+
+    @pytest.mark.parametrize("law", ["normal", "rademacher", "mammen"])
+    def test_constant_replication_counts_as_uncorrelated(self, law, monkeypatch):
+        # Rademacher signs on equal |values| make some replications constant:
+        # each counts as statistic 0 (bandwidth 1, VR 1), still after one
+        # autocorrelation call, instead of failing the whole test
+        acfs = []
+
+        def counted(*args):
+            acfs.append(args)
+            return autocorrelations(*args)
+
+        monkeypatch.setattr(avr, "autocorrelations", counted)
+        values = np.array([0.01, -0.01] * 3)
+        boot = BootstrapConfig(n_boot=199, multiplier=law, seed=0)
+        out = avr_test(make_series(values), boot)
+        assert len(acfs) == 200
+        stat, _, _ = _pipeline(values)
+        boot_stats, constant = np.zeros(boot.n_boot), 0
+        for j in range(boot.n_boot):
+            eta = draw_multipliers(substream(0, AVR_DOMAIN, j), law, len(values))
+            if np.ptp(eta * values) == 0.0:
+                constant += 1
+            else:
+                boot_stats[j] = _pipeline(eta * values)[0]
+        assert (constant > 0) == (law == "rademacher")
+        exceed = int(np.sum(np.abs(boot_stats) >= abs(stat)))
+        assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
+        assert 0.0 < out.p_value < 1.0
 
     def test_long_series_bounded_memory(self):
         # one chunk of 32 replications would hold 32 x 10 000 autocorrelations

@@ -35,31 +35,29 @@ class TestDgpSpecValidation:
             DgpSpec(kind="ar1", length=10, seed=0, params={"phi": float("nan")})
 
     def test_stationarity(self):
-        with pytest.raises(ValueError, match="phi"):
-            DgpSpec(kind="ar1", length=10, seed=0, params={"phi": 1.0})
-        with pytest.raises(ValueError, match="omega"):
-            DgpSpec(
-                kind="garch11",
-                length=10,
-                seed=0,
-                params={"omega": 0.0, "alpha": 0.1, "beta": 0.8},
-            )
-        with pytest.raises(ValueError, match="alpha"):
-            DgpSpec(
-                kind="garch11",
-                length=10,
-                seed=0,
-                params={"omega": 0.1, "alpha": -0.1, "beta": 0.8},
-            )
-        with pytest.raises(ValueError, match="alpha \\+ beta"):
-            DgpSpec(
-                kind="garch11",
-                length=10,
-                seed=0,
-                params={"omega": 0.1, "alpha": 0.2, "beta": 0.8},
-            )
-        with pytest.raises(ValueError, match="b"):
-            DgpSpec(kind="bilinear", length=10, seed=0, params={"b": -1.0})
+        cases = [
+            ("ar1", {"phi": 1.0}, "ar1 requires |phi| < 1, got phi=1.0"),
+            (
+                "garch11",
+                {"omega": 0.0, "alpha": 0.1, "beta": 0.8},
+                "garch11 requires omega > 0, got 0.0",
+            ),
+            (
+                "garch11",
+                {"omega": 0.1, "alpha": -0.1, "beta": 0.8},
+                "garch11 requires alpha, beta >= 0, got -0.1, 0.8",
+            ),
+            (
+                "garch11",
+                {"omega": 0.1, "alpha": 0.2, "beta": 0.8},
+                "garch11 requires alpha + beta < 1, got 1.0",
+            ),
+            ("bilinear", {"b": -1.0}, "bilinear requires |b| < 1, got b=-1.0"),
+        ]
+        for kind, params, message in cases:
+            with pytest.raises(ValueError) as info:
+                DgpSpec(kind=kind, length=10, seed=0, params=params)
+            assert str(info.value) == message
 
     def test_burn_in_rules(self):
         assert DgpSpec(kind="iid_normal", length=10, seed=0).burn_in == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,13 @@ from mdhtest import (
     ReturnSeries,
     WindowSpec,
     avr_test,
+    draw_multipliers,
     generate,
     gs_test,
     make_windows,
     run_rolling,
 )
-from mdhtest.bootstrap import WINDOW_DOMAIN, derive_seed
+from mdhtest.bootstrap import AVR_DOMAIN, WINDOW_DOMAIN, derive_seed, substream
 from conftest import make_series
 
 
@@ -163,6 +166,22 @@ class TestRunRolling:
                 assert flat.outcome is None, (level, test)
                 assert flat.skip_reason == "degenerate series: zero sample variance"
                 assert res.windows[0].outcome is not None
+
+    def test_window_with_constant_replications_is_tested(self):
+        # ten alternating values: Rademacher signs make 2 of window 0's 199
+        # replications constant at seed 4, and the window is still tested
+        s = make_series([0.01, -0.01] * 5)
+        boot = BootstrapConfig(n_boot=199, multiplier="rademacher", seed=4)
+        child = derive_seed(4, WINDOW_DOMAIN, 0)
+        signs = [
+            draw_multipliers(substream(child, AVR_DOMAIN, j), "rademacher", 10)
+            for j in range(199)
+        ]
+        assert sum(np.ptp(eta * s.values) == 0.0 for eta in signs) == 2
+        res = run_rolling(s, WindowSpec(window_years=1, min_observations=10), "avr", boot)
+        (only,) = res.windows
+        assert only.skip_reason is None
+        assert only.outcome == avr_test(s, replace(boot, seed=child))
 
     def test_per_window_seeds_reconstructable(self):
         s = daily_series("2000-01-03", 3 * 365, np.random.default_rng(12))
