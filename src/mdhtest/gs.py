@@ -357,9 +357,9 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     time.
     """
     T = len(fit.z)
-    K = len(fit.spectra)
     D = fit.statistic
-    rows = _BATCH * K // fit.split if fit.split < K else _BATCH
+    # the split is 0 only at rank 0, whose first pass has no columns
+    rows = _BATCH * len(fit.spectra) // fit.split if fit.split else _BATCH
     work = _workspace(fit, _BATCH)
     exceed = 0
     streams = _substreams(boot.seed, GS_DOMAIN, 0, boot.n_boot)
@@ -371,11 +371,10 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
                 for _, rng in zip(range(stop - start), streams)
             ]
         )
-        if fit.split < K:
-            low, high = _bracket(fit, eta, work)
-            slack = _SLACK * (D + high)
-            exceed += int(np.sum(low - D > slack))
-            eta = eta[(low - D <= slack) & (D - high <= slack)]
+        low, high = _bracket(fit, eta, work)
+        slack = _SLACK * (D + high)
+        exceed += int(np.sum(low - D > slack))
+        eta = eta[(low - D <= slack) & (D - high <= slack)]
         for i in range(0, len(eta), _BATCH):
             exceed += int(np.sum(_replicate(fit, eta[i : i + _BATCH], work) >= D))
     return exceed

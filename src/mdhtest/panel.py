@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .series import ReturnSeries, _choice
+from .series import ReturnSeries, _as_dates, _choice
 
 FORMATS = ("long", "wide")
 
@@ -95,9 +95,11 @@ class PanelInput:
     returns: np.ndarray
 
     def __post_init__(self):
-        dates = np.asarray(self.dates, dtype="datetime64[D]")
+        dates = _as_dates(self.dates, PanelError)
         instruments = np.asarray(self.instruments, dtype=object)
         returns = np.asarray(self.returns, dtype=np.float64)
+        if not (dates.ndim == instruments.ndim == returns.ndim == 1):
+            raise PanelError("dates, instruments and returns must be one-dimensional")
         if not (len(dates) == len(instruments) == len(returns)):
             raise PanelError(
                 "dates, instruments and returns must have equal length, got "

@@ -79,37 +79,25 @@ class RollingResult:
     windows: tuple
 
 
-def _year(date: np.datetime64) -> int:
-    return date.astype("datetime64[Y]").astype(int) + 1970
-
-
 def make_windows(series: ReturnSeries, spec: WindowSpec) -> list:
     """Enumerate calendar windows and their observation index ranges.
 
     Window i covers [anchor + i*step, anchor + i*step + window) in years,
-    anchored at January 1 of the first observation's year; windows are
-    generated while they end within the calendar year after the last
-    observation's. Reported end dates are the inclusive final day. A window
-    may map to an empty index range (data gaps); the caller decides how to
-    treat thin windows.
+    anchored at January 1 of the first observation's year. The last window
+    is the last one whose inclusive end falls on or before December 31 of
+    the last observation's year. Reported end dates are the inclusive final
+    day. A window may map to an empty index range (data gaps); the caller
+    decides how to treat thin windows.
     """
     dates = series.dates
-    anchor = _year(dates[0])
-    last = _year(dates[-1])
-    windows = []
-    i = 0
-    while True:
-        start_year = anchor + i * spec.step_years
-        end_year = start_year + spec.window_years
-        if end_year > last + 1:
-            break
-        start = np.datetime64(f"{start_year:04d}-01-01", "D")
-        end_open = np.datetime64(f"{end_year:04d}-01-01", "D")
-        lo = int(np.searchsorted(dates, start, side="left"))
-        hi = int(np.searchsorted(dates, end_open, side="left"))
-        windows.append(Window(start, end_open - np.timedelta64(1, "D"), lo, hi))
-        i += 1
-    return windows
+    first, last = dates[[0, -1]].astype("datetime64[Y]")
+    years = np.arange(first, last + 2 - spec.window_years, spec.step_years)
+    starts = years.astype("datetime64[D]")
+    ends = (years + spec.window_years).astype("datetime64[D]")
+    lo = np.searchsorted(dates, starts).tolist()
+    hi = np.searchsorted(dates, ends).tolist()
+    inclusive = ends - np.timedelta64(1, "D")
+    return [Window(*w) for w in zip(starts, inclusive, lo, hi)]
 
 
 def run_rolling(

@@ -29,11 +29,12 @@ class DegenerateSeriesError(ValueError):
     """Raised when a computation requires positive sample variance."""
 
 
-def _as_dates(dates) -> np.ndarray:
+def _as_dates(dates, error=ValueError) -> np.ndarray:
+    """``dates`` as datetime64[D]; an ``error`` that names them if unparseable."""
     try:
         return np.asarray(dates, dtype="datetime64[D]")
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"dates are not parseable as calendar dates: {exc}") from None
+        raise error(f"dates are not parseable as calendar dates: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,9 @@ def autocorr(series: ReturnSeries, lag: int) -> float:
     rho(lag) = sum_{t<=T-lag} (Y_t - mu)(Y_{t+lag} - mu) / sum_t (Y_t - mu)^2
     with mu the full-sample mean.
     """
-    lag = _count(lag, "lag", 1, len(series) - 1)
-    d, den = _demeaned(series.values)
+    values = _checked(series.values, 2)
+    lag = _count(lag, "lag", 1, len(values) - 1)
+    d, den = _demeaned(values)
     return float(d[:-lag] @ d[lag:]) / den
 
 
@@ -227,6 +229,8 @@ def autocorrelations(values: np.ndarray, max_lag: int | None = None) -> np.ndarr
     """
     values = np.asarray(values, dtype=np.float64)
     T = len(values)
+    if T < 2:
+        raise ValueError(f"need at least 2 observations, got {T}")
     max_lag = _count(T - 1 if max_lag is None else max_lag, "max_lag", 1, T - 1)
     d, den = _demeaned(values)
     if T <= _DIRECT_ACV_LIMIT:

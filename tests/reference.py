@@ -145,3 +145,32 @@ def random_series_values(rng, T):
     values = rng.standard_normal(T) * 0.02
     values += 0.005 * rng.standard_t(df=5, size=T)
     return values
+
+
+def _year(date):
+    return date.astype("datetime64[Y]").astype(int) + 1970
+
+
+def ref_windows(dates, window_years, step_years):
+    """Calendar windows (start, inclusive end, lo, hi), one year at a time.
+
+    Window i covers [anchor + i*step, anchor + i*step + window) in years,
+    anchored at January 1 of the first date's year, while its open end is
+    no later than January 1 of the year after the last date's.
+    """
+    anchor = _year(dates[0])
+    last = _year(dates[-1])
+    windows = []
+    i = 0
+    while True:
+        start_year = anchor + i * step_years
+        end_year = start_year + window_years
+        if end_year > last + 1:
+            break
+        start = np.datetime64(f"{start_year:04d}-01-01", "D")
+        end_open = np.datetime64(f"{end_year:04d}-01-01", "D")
+        lo = int(np.searchsorted(dates, start, side="left"))
+        hi = int(np.searchsorted(dates, end_open, side="left"))
+        windows.append((start, end_open - np.timedelta64(1, "D"), lo, hi))
+        i += 1
+    return windows

@@ -218,6 +218,26 @@ class TestPanelInput:
                 returns=np.array([0.01]),
             )
 
+    @pytest.mark.parametrize(
+        "dates, instruments, returns",
+        [
+            ([["2000-01-03"]], [["A"]], [[0.1]]),
+            (["2000-01-03"], [["A"]], [0.1]),
+            ("2000-01-03", "A", 0.1),
+        ],
+        ids=["all-2d", "instruments-2d", "scalars"],
+    )
+    def test_not_one_dimensional(self, dates, instruments, returns):
+        with pytest.raises(PanelError) as err:
+            PanelInput(dates=dates, instruments=instruments, returns=returns)
+        assert str(err.value) == (
+            "dates, instruments and returns must be one-dimensional"
+        )
+
+    def test_unparseable_date(self):
+        with pytest.raises(PanelError, match="^dates are not parseable .*2000-13-45"):
+            PanelInput(dates=["2000-13-45"], instruments=["A"], returns=[0.1])
+
     def test_duplicate_pair_rejected(self):
         with pytest.raises(PanelError, match="duplicate"):
             PanelInput(

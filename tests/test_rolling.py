@@ -47,8 +47,8 @@ class TestWindowSpec:
 class TestMakeWindows:
     def test_annual_observations(self):
         # one mid-year observation per year, 2000-2009: two-year windows
-        # anchored at 2000-01-01 advance annually until the window ending
-        # in the year after the final observation
+        # anchored at 2000-01-01 advance annually; the last one ends on
+        # December 31 of the final observation's year
         dates = np.array([f"{y}-06-15" for y in range(2000, 2010)], dtype="datetime64[D]")
         s = ReturnSeries(values=np.linspace(0.01, 0.1, 10), dates=dates, frequency="daily")
         wins = make_windows(s, WindowSpec(window_years=2))

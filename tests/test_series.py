@@ -178,6 +178,12 @@ class TestAutocorrelations:
             with pytest.raises(ValueError, match="max_lag"):
                 autocorrelations(values, max_lag=bad)
 
+    def test_empty_input_message(self):
+        # the suite turns a RuntimeWarning (a mean of no values) into an error
+        with pytest.raises(ValueError) as exc:
+            autocorrelations([])
+        assert str(exc.value) == "need at least 2 observations, got 0"
+
     def test_fast_len_matches_scipy_next_fast_len(self):
         # the FFT path's padded length: the least 5-smooth n' >= n
         ns = range(1, 20_001)
@@ -213,9 +219,7 @@ class TestSeriesValidity:
 
     def test_short_input_message(self):
         for name, entry in self.ENTRY_POINTS.items():
-            if name in ("autocorr", "autocorrelations"):
-                continue  # their lag bounds reject short input first
-            need = 2 if name.startswith(("gs", "truncation")) else 4
+            need = 2 if name.startswith(("gs", "truncation", "autocorr")) else 4
             with pytest.raises(ValueError) as exc:
                 entry(make_series([0.1, 0.2, 0.3][: need - 1]))
             assert str(exc.value) == f"need at least {need} observations, got {need - 1}"
