@@ -75,22 +75,30 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _seed_pool(entropy: list) -> list:
-    """SeedSequence's pool for entropy words that are ints or uint32 arrays.
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix``: hash constant ``const``, times ``mult`` per call.
 
-    numpy's ``mix_entropy`` with pool size 4. Its hash constant steps the
-    same way whatever the words are, so one pass hashes every key whose
-    words are array elements, and constant words stay Python ints.
+    The constant steps the same way whatever the value hashed is, so one
+    hasher serves ints and uint32 arrays alike.
     """
-    const = _INIT_A
 
     def hashmix(value):
         nonlocal const
         value = value ^ const
-        const = const * _MULT_A & _MASK32
+        const = const * mult & _MASK32
         value = value * const & _MASK32
         return value ^ value >> 16
 
+    return hashmix
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence's pool for entropy words that are ints or uint32 arrays.
+
+    numpy's ``mix_entropy`` with pool size 4. One pass hashes every key
+    whose words are array elements, and constant words stay Python ints.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
@@ -109,13 +117,8 @@ def _pcg_states(pool: list) -> list:
     ``srandom``: inc = 2 initseq + 1, state = (inc + initstate) mult + inc
     mod 2^128.
     """
-    const = _INIT_B
-    halves = []
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        halves.append(value ^ value >> 16)
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[i % _POOL]) for i in range(2 * _POOL)]
     words = np.stack(halves, axis=1).astype("<u4").view("<u8").tolist()
     out = []
     for hi_state, lo_state, hi_seq, lo_seq in words:

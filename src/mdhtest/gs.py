@@ -207,13 +207,11 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
     K = 0
     traces = [float(resid.sum())]
     while traces[-1] * budget > _REL_TOL * lower:
+        # tr(R) > 0 here, so the largest residual, the pivot, is positive
         q = int(np.argmax(resid))
-        pivot = resid[q]
-        if not pivot > 0.0:
-            break
         col = np.expm1(-0.5 * (x - x[q]) ** 2) - anchor - anchor[q]
         col -= rows[:K, q] @ rows[:K]
-        col /= math.sqrt(pivot)
+        col /= math.sqrt(resid[q])
         if K == len(rows):
             rows = np.concatenate([rows, np.empty((min(K, N - K), N))])
         rows[K] = col

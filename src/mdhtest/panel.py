@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import date as _date
+from datetime import date
 from itertools import islice
 
 import numpy as np
@@ -72,8 +72,8 @@ def _first_duplicate(dates: np.ndarray, instruments: np.ndarray):
         (codes_of.setdefault(x, len(codes_of)) for x in instruments),
         dtype=np.int64, count=len(instruments),
     )
-    # Dense date ranks, not raw day numbers, keep the key below n² (NaT and
-    # far-apart dates would overflow int64 as day·n_codes).
+    # Dense date ranks, not raw day numbers, keep the key below n²
+    # (far-apart dates would overflow int64 as day·n_codes).
     _, day_codes = np.unique(dates.view(np.int64), return_inverse=True)
     key = day_codes * len(codes_of) + codes
     order = np.argsort(key, kind="stable")
@@ -120,11 +120,20 @@ class PanelInput:
         return len(self.returns)
 
 
-def _parse_date(text: str, record: int) -> _date:
+def _parse_date(text: str, record: int) -> str:
+    """``text`` stripped, if it is a calendar date written ``YYYY-MM-DD``.
+
+    Python 3.11+ ``fromisoformat`` also reads ``YYYYMMDD`` and week dates.
+    Of those only ``YYYY-Www-D`` has ten characters, and it has no dash at
+    index 7, so text failing that test is parsed as ``""``, which every
+    version refuses, and every Python version reads the same dates.
+    """
+    day = text.strip()
     try:
-        return _date.fromisoformat(text.strip())
+        date.fromisoformat(day if len(day) == 10 and day[7] == "-" else "")
     except ValueError:
         raise _RecordError(f"invalid ISO-8601 date {text!r}", (record,)) from None
+    return day
 
 
 def _parse_return(text: str, record: int) -> float:
@@ -203,18 +212,21 @@ def _load_long(path, header, reader) -> PanelInput:
             f"{path}: long format needs header date,instrument,return, "
             f"got {','.join(header)}"
         )
-    days, instruments, returns = [], [], []
+    # each distinct date text is parsed once, and its rows share one string
+    days, instruments, returns, parsed = [], [], [], {}
     for record, row in enumerate(reader):
         if len(row) != 3:
             raise _RecordError(f"expected 3 fields, got {len(row)}", (record,))
-        days.append(_parse_date(row[0], record).toordinal())
+        if row[0] not in parsed:
+            parsed[row[0]] = _parse_date(row[0], record)
+        days.append(parsed[row[0]])
         instrument = row[1].strip()
         if not instrument:
             raise _RecordError("empty instrument id", (record,))
         instruments.append(instrument)
         returns.append(_parse_return(row[2], record))
     return PanelInput(
-        dates=_dates(days),
+        dates=days,
         instruments=np.array(instruments, dtype=object),
         returns=np.array(returns, dtype=np.float64),
     )
@@ -231,7 +243,7 @@ def _load_wide(path, header, reader) -> PanelInput:
     if len(set(ids)) != len(ids):
         dupes = sorted({c for c in ids if ids.count(c) > 1})
         raise PanelError(f"{path}: duplicate instrument columns {dupes}")
-    days, cells, seen = [], [], {}
+    cells, seen = [], {}  # seen: each date's record, in file order
     for record, row in enumerate(reader):
         if len(row) != len(header):
             raise _RecordError(
@@ -241,7 +253,6 @@ def _load_wide(path, header, reader) -> PanelInput:
         if day in seen:
             raise _RecordError(f"duplicate date {day}", (seen[day], record))
         seen[day] = record
-        days.append(day.toordinal())
         # A blank cell is an explicit absence, never zero-filled: it stays
         # NaN here (no parsed return can be NaN) and is dropped below.
         cells.append(np.array(
@@ -251,19 +262,11 @@ def _load_wide(path, header, reader) -> PanelInput:
     del cells
     # Row-major nonzero keeps the long form date-major in column order.
     rows, cols = np.nonzero(~np.isnan(matrix))
-    dates = _dates(days)[rows]
+    dates = _as_dates(list(seen))[rows]
     instruments = np.array(ids, dtype=object)[cols]
     returns = matrix[rows, cols]
     del matrix, rows, cols  # freed before PanelInput's duplicate check, the peak
     return PanelInput(dates=dates, instruments=instruments, returns=returns)
-
-
-_EPOCH = _date(1970, 1, 1).toordinal()
-
-
-def _dates(ordinals: list) -> np.ndarray:
-    """datetime64[D] days from proleptic Gregorian ordinals."""
-    return (np.array(ordinals, dtype=np.int64) - _EPOCH).astype("datetime64[D]")
 
 
 def equal_weight_series(panel: PanelInput, frequency: str) -> ReturnSeries:

@@ -30,11 +30,15 @@ class DegenerateSeriesError(ValueError):
 
 
 def _as_dates(dates, error=ValueError) -> np.ndarray:
-    """``dates`` as datetime64[D]; an ``error`` that names them if unparseable."""
+    """``dates`` as datetime64[D]; an ``error`` if unparseable or NaT."""
     try:
-        return np.asarray(dates, dtype="datetime64[D]")
+        dates = np.asarray(dates, dtype="datetime64[D]")
     except (ValueError, TypeError) as exc:
         raise error(f"dates are not parseable as calendar dates: {exc}") from None
+    missing = np.flatnonzero(np.isnat(dates))
+    if len(missing):
+        raise error(f"date at position {missing[0]} is NaT, not a calendar date")
+    return dates
 
 
 @dataclass(frozen=True)

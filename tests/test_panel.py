@@ -1,4 +1,5 @@
 import tracemalloc
+from datetime import date
 
 import numpy as np
 import pytest
@@ -48,6 +49,20 @@ class TestLoadLong:
         path = write(tmp_path, "date,instrument,return\n03/01/2000,A,0.01\n")
         with pytest.raises(PanelError, match="line 2: invalid ISO-8601 date"):
             load_panel(path)
+
+    @pytest.mark.parametrize("text", ["20000103", "2000-W01-1", "2000-02-30"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, text):
+        path = write(
+            tmp_path, f"date,instrument,return\n2000-01-03,A,0.01\n{text},A,0.02\n"
+        )
+        with pytest.raises(PanelError) as err:
+            load_panel(path)
+        assert str(err.value) == f"{path}: line 3: invalid ISO-8601 date '{text}'"
+
+    def test_date_padding_stripped(self, tmp_path):
+        path = write(tmp_path, "date,instrument,return\n 2000-01-03 ,A,0.01\n")
+        panel = load_panel(path)
+        assert panel.dates.tolist() == [date(2000, 1, 3)]
 
     def test_invalid_return(self, tmp_path):
         path = write(tmp_path, "date,instrument,return\n2000-01-03,A,one\n")
@@ -161,6 +176,18 @@ class TestLoadWide:
         with pytest.raises(PanelError, match="duplicate date 2000-01-03 at lines 2 and 4"):
             load_panel(path, format="wide")
 
+    @pytest.mark.parametrize("text", ["20000103", "2000-W01-1", "2000-02-30"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, text):
+        path = write(tmp_path, f"date,A\n2000-01-03,0.01\n{text},0.02\n")
+        with pytest.raises(PanelError) as err:
+            load_panel(path, format="wide")
+        assert str(err.value) == f"{path}: line 3: invalid ISO-8601 date '{text}'"
+
+    def test_date_padding_stripped(self, tmp_path):
+        path = write(tmp_path, "date,A\n 2000-01-03 ,0.01\n")
+        panel = load_panel(path, format="wide")
+        assert panel.dates.tolist() == [date(2000, 1, 3)]
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "date,A,B\n2000-01-03,0.01\n")
         with pytest.raises(PanelError, match="line 2: expected 3 fields, got 2"):
@@ -238,6 +265,16 @@ class TestPanelInput:
         with pytest.raises(PanelError, match="^dates are not parseable .*2000-13-45"):
             PanelInput(dates=["2000-13-45"], instruments=["A"], returns=[0.1])
 
+    def test_nat_date_rejected(self):
+        with pytest.raises(PanelError) as err:
+            PanelInput(["NaT", "2000-01-03"], ["A", "A"], [0.1, 0.2])
+        assert str(err.value) == "date at position 0 is NaT, not a calendar date"
+
+    def test_non_finite_return_rejected(self):
+        with pytest.raises(PanelError) as err:
+            PanelInput(["2000-01-03"] * 2, ["A", "B"], [0.1, np.inf])
+        assert str(err.value) == "non-finite return at row 1"
+
     def test_duplicate_pair_rejected(self):
         with pytest.raises(PanelError, match="duplicate"):
             PanelInput(
@@ -269,14 +306,12 @@ class TestPanelInput:
             "at rows 1 and 3"
         )
 
-    def test_extreme_dates_and_nat_do_not_collide(self):
-        # Keyed on raw day numbers, NaT·2 wraps to 0 in int64: the key of
-        # (1970-01-01, A) with two instrument codes.
-        dates = np.array(
-            ["NaT", "1970-01-01", "9999-12-31", "0001-01-01", "NaT", "NaT"],
-            dtype="datetime64[D]",
-        )
-        instruments = np.array(["A", "A", "B", "A", "B", "A"], dtype=object)
+    def test_extreme_dates_do_not_collide(self):
+        # Keyed on raw day numbers with two instrument codes, 2^62 and -2^62
+        # days both wrap to -2^63 in int64: (2^62, A) would meet (-2^62, A).
+        days = np.array([2**62, -2**62, 0, 2**62, 0, 2**62], dtype=np.int64)
+        dates = days.view("datetime64[D]")
+        instruments = np.array(["A", "A", "B", "B", "A", "A"], dtype=object)
         PanelInput(dates=dates[:5], instruments=instruments[:5], returns=np.zeros(5))
         with pytest.raises(PanelError, match="at rows 0 and 5"):
             PanelInput(dates=dates, instruments=instruments, returns=np.zeros(6))

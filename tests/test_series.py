@@ -64,6 +64,24 @@ class TestReturnSeries:
         with pytest.raises(ValueError, match="increasing"):
             ReturnSeries(np.zeros(3), dates, "daily")
 
+    @pytest.mark.parametrize(
+        "values, dates, position",
+        [([0.1], ["NaT"], 0), ([0.1, 0.2], ["2000-01-03", "NaT"], 1)],
+        ids=["only", "last"],
+    )
+    def test_rejects_nat_with_position(self, values, dates, position):
+        with pytest.raises(ValueError) as err:
+            ReturnSeries(values, dates, "daily")
+        assert str(err.value) == (
+            f"date at position {position} is NaT, not a calendar date"
+        )
+
+    def test_slice_bounds_checked(self):
+        s = make_series([1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(ValueError) as err:
+            s.slice(3, 2)
+        assert str(err.value) == "invalid slice [3, 2) for length 5"
+
     def test_slice_preserves_metadata(self):
         s = make_series([1.0, 2.0, 3.0, 4.0], frequency="weekly")
         sub = s.slice(1, 3)
