@@ -8,19 +8,23 @@ offending record starts (a quoted field may span lines); missing
 observations stay missing and are never zero-filled.
 
 Ingest is one streamed pass over the CSV reader: the file is never held as
-a list of rows. Wide rows are parsed into a (dates x instruments) float
-matrix with NaN for blank cells, and the long-form arrays come from its
-present cells in one vectorized step, date-major and in column order.
+a list of rows. Wide rows are parsed into one growing float buffer, NaN for
+blank cells, that numpy views without a copy as the (dates x instruments)
+matrix; the long-form arrays come from its present-cell mask, date-major
+and in column order, with no per-row arrays and no index arrays. Long rows
+share one string per distinct date and per distinct instrument id.
 Repeated (date, instrument) pairs are found once, vectorized, by
-``PanelInput`` itself. The loaders locate faults by record index, and only
-an error reads the file again to turn records into lines, so a clean load
-keeps no line numbers.
+``PanelInput`` itself; the wide loader skips that scan, because one row
+per date and one column per instrument rule repeats out. The loaders
+locate faults by record index, and only an error reads the file again to
+turn records into lines, so a clean load keeps no line numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from itertools import islice
@@ -86,6 +90,27 @@ def _first_duplicate(dates: np.ndarray, instruments: np.ndarray):
     return first, second
 
 
+def _checked(dates, instruments, returns):
+    """The three columns as datetime64[D], object and float64 arrays.
+
+    They must be one-dimensional and of equal length, every return finite.
+    """
+    dates = _as_dates(dates, PanelError)
+    instruments = np.asarray(instruments, dtype=object)
+    returns = np.asarray(returns, dtype=np.float64)
+    if not (dates.ndim == instruments.ndim == returns.ndim == 1):
+        raise PanelError("dates, instruments and returns must be one-dimensional")
+    if not (len(dates) == len(instruments) == len(returns)):
+        raise PanelError(
+            "dates, instruments and returns must have equal length, got "
+            f"{len(dates)}, {len(instruments)}, {len(returns)}"
+        )
+    if len(returns) and not np.all(np.isfinite(returns)):
+        bad = int(np.flatnonzero(~np.isfinite(returns))[0])
+        raise PanelError(f"non-finite return at row {bad}")
+    return dates, instruments, returns
+
+
 @dataclass(frozen=True)
 class PanelInput:
     """Validated long-form panel: parallel arrays of (date, instrument, return)."""
@@ -95,23 +120,24 @@ class PanelInput:
     returns: np.ndarray
 
     def __post_init__(self):
-        dates = _as_dates(self.dates, PanelError)
-        instruments = np.asarray(self.instruments, dtype=object)
-        returns = np.asarray(self.returns, dtype=np.float64)
-        if not (dates.ndim == instruments.ndim == returns.ndim == 1):
-            raise PanelError("dates, instruments and returns must be one-dimensional")
-        if not (len(dates) == len(instruments) == len(returns)):
-            raise PanelError(
-                "dates, instruments and returns must have equal length, got "
-                f"{len(dates)}, {len(instruments)}, {len(returns)}"
-            )
-        if len(returns) and not np.all(np.isfinite(returns)):
-            bad = int(np.flatnonzero(~np.isfinite(returns))[0])
-            raise PanelError(f"non-finite return at row {bad}")
-        rows = _first_duplicate(dates, instruments)
+        self._set(*_checked(self.dates, self.instruments, self.returns))
+        rows = _first_duplicate(self.dates, self.instruments)
         if rows is not None:
-            key = (str(dates[rows[1]]), instruments[rows[1]])
+            key = (str(self.dates[rows[1]]), self.instruments[rows[1]])
             raise _DuplicatePair(f"duplicate (date, instrument) {key}", rows)
+
+    @classmethod
+    def _of_unique_pairs(cls, dates, instruments, returns) -> PanelInput:
+        """A panel built with every check but the repeated-pair scan.
+
+        Only for input that cannot repeat a pair: the wide loader has one
+        row per date and one column per instrument.
+        """
+        panel = object.__new__(cls)
+        panel._set(*_checked(dates, instruments, returns))
+        return panel
+
+    def _set(self, dates, instruments, returns):
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "instruments", instruments)
         object.__setattr__(self, "returns", returns)
@@ -212,8 +238,9 @@ def _load_long(path, header, reader) -> PanelInput:
             f"{path}: long format needs header date,instrument,return, "
             f"got {','.join(header)}"
         )
-    # each distinct date text is parsed once, and its rows share one string
-    days, instruments, returns, parsed = [], [], [], {}
+    # each distinct date text is parsed once, and its rows share one string;
+    # so do the rows of each distinct instrument id
+    days, instruments, returns, parsed, ids = [], [], array("d"), {}, {}
     for record, row in enumerate(reader):
         if len(row) != 3:
             raise _RecordError(f"expected 3 fields, got {len(row)}", (record,))
@@ -223,12 +250,12 @@ def _load_long(path, header, reader) -> PanelInput:
         instrument = row[1].strip()
         if not instrument:
             raise _RecordError("empty instrument id", (record,))
-        instruments.append(instrument)
+        instruments.append(ids.setdefault(instrument, instrument))
         returns.append(_parse_return(row[2], record))
     return PanelInput(
         dates=days,
         instruments=np.array(instruments, dtype=object),
-        returns=np.array(returns, dtype=np.float64),
+        returns=np.frombuffer(returns, dtype=np.float64),
     )
 
 
@@ -243,7 +270,7 @@ def _load_wide(path, header, reader) -> PanelInput:
     if len(set(ids)) != len(ids):
         dupes = sorted({c for c in ids if ids.count(c) > 1})
         raise PanelError(f"{path}: duplicate instrument columns {dupes}")
-    cells, seen = [], {}  # seen: each date's record, in file order
+    cells, seen = array("d"), {}  # seen: each date's record, in file order
     for record, row in enumerate(reader):
         if len(row) != len(header):
             raise _RecordError(
@@ -255,25 +282,30 @@ def _load_wide(path, header, reader) -> PanelInput:
         seen[day] = record
         # A blank cell is an explicit absence, never zero-filled: it stays
         # NaN here (no parsed return can be NaN) and is dropped below.
-        cells.append(np.array(
+        cells.extend(
             [_parse_return(c, record) if c.strip() else math.nan for c in row[1:]]
-        ))
-    matrix = np.array(cells, dtype=np.float64).reshape(len(cells), len(ids))
-    del cells
-    # Row-major nonzero keeps the long form date-major in column order.
-    rows, cols = np.nonzero(~np.isnan(matrix))
-    dates = _as_dates(list(seen))[rows]
-    instruments = np.array(ids, dtype=object)[cols]
-    returns = matrix[rows, cols]
-    del matrix, rows, cols  # freed before PanelInput's duplicate check, the peak
-    return PanelInput(dates=dates, instruments=instruments, returns=returns)
+        )
+    matrix = np.frombuffer(cells, dtype=np.float64).reshape(len(seen), len(ids))
+    present = ~np.isnan(matrix)
+    # Row-major boolean indexing keeps the long form date-major in column order.
+    returns = matrix[present]
+    del matrix, cells  # the buffer goes before the other two arrays are built
+    dates = np.repeat(_as_dates(list(seen)), present.sum(axis=1))
+    instruments = np.broadcast_to(np.array(ids, dtype=object), present.shape)[present]
+    return PanelInput._of_unique_pairs(dates, instruments, returns)
 
 
 def equal_weight_series(panel: PanelInput, frequency: str) -> ReturnSeries:
     """Cross-sectional mean return per date over the instruments present."""
     if len(panel) == 0:
         raise PanelError("empty panel: no observations to average")
-    unique_dates, inverse = np.unique(panel.dates, return_inverse=True)
+    # One sort, and the date indices by binary search. return_inverse would
+    # keep an argsort and its inverse as well, and plain np.unique takes
+    # numpy 2.3+'s hash path, which imports numpy.ma on first use.
+    ordered = np.sort(panel.dates)
+    unique_dates = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    del ordered
+    inverse = np.searchsorted(unique_dates, panel.dates)
     # each date's returns are added in row order, as a loop over rows would
     sums = np.bincount(inverse, weights=panel.returns, minlength=len(unique_dates))
     counts = np.bincount(inverse, minlength=len(unique_dates))

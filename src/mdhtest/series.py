@@ -9,6 +9,7 @@ convention under which the Jarque-Bera statistic recomputed from published
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -166,6 +167,7 @@ def _demeaned(values: np.ndarray) -> tuple[np.ndarray, float]:
     return d, den
 
 
+@functools.lru_cache  # a bootstrap asks B times for one length; 128 are kept
 def _fast_len(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= n: a length the FFT factors fastest."""
     best = 1 << (n - 1).bit_length()

@@ -5,6 +5,7 @@ loops, one-to-one with the defining formulas, kept deliberately
 independent of the package's vectorized/compiled code paths.
 """
 
+import csv
 import math
 from fractions import Fraction
 
@@ -174,3 +175,34 @@ def ref_windows(dates, window_years, step_years):
         windows.append((start, end_open - np.timedelta64(1, "D"), lo, hi))
         i += 1
     return windows
+
+
+def ref_load_wide(path):
+    """A wide CSV panel as (dates, instruments, returns), one row at a time.
+
+    Each row becomes its own float array with NaN for blank cells; the rows
+    are stacked into a matrix whose present cells, found by ``np.nonzero``,
+    give the long form date-major in column order. Input must be valid.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        ids = [c.strip() for c in next(reader)[1:]]
+        days, cells = [], []
+        for row in reader:
+            days.append(row[0].strip())
+            cells.append(np.array(
+                [float(c) if c.strip() else math.nan for c in row[1:]]
+            ))
+    matrix = np.array(cells, dtype=np.float64).reshape(len(cells), len(ids))
+    rows, cols = np.nonzero(~np.isnan(matrix))
+    dates = np.array(days, dtype="datetime64[D]")[rows]
+    instruments = np.array(ids, dtype=object)[cols]
+    return dates, instruments, matrix[rows, cols]
+
+
+def ref_equal_weight(dates, returns):
+    """(sorted distinct dates, mean return on each) through ``return_inverse``."""
+    unique_dates, inverse = np.unique(dates, return_inverse=True)
+    sums = np.bincount(inverse, weights=returns, minlength=len(unique_dates))
+    counts = np.bincount(inverse, minlength=len(unique_dates))
+    return unique_dates, sums / counts

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mdhtest import PanelError, PanelInput, equal_weight_series, load_panel
+from mdhtest import panel as panel_module
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -337,6 +338,19 @@ class TestPanelInput:
             assert str(err.value).endswith(expected)
 
 
+def test_only_the_long_loader_scans_for_repeated_pairs(tmp_path, monkeypatch):
+    # the wide loader refuses repeated dates and columns, so no pair repeats
+    calls = []
+    scan = panel_module._first_duplicate
+    monkeypatch.setattr(
+        panel_module, "_first_duplicate", lambda *a: calls.append(a) or scan(*a)
+    )
+    assert len(load_panel(write(tmp_path, WIDE, "w.csv"), "wide")) == 4
+    assert calls == []
+    assert len(load_panel(write(tmp_path, LONG, "l.csv"), "long")) == 4
+    assert len(calls) == 1
+
+
 class TestWideLongAgree:
     def test_same_panel_and_bit_identical_means(self, tmp_path):
         rng = np.random.default_rng(2024)
@@ -363,7 +377,8 @@ class TestWideLongAgree:
         assert np.array_equal(a.values, b.values)
 
 
-def test_wide_load_memory_is_bounded_per_cell(tmp_path):
+def write_memory_panel(tmp_path):
+    """A seeded 1100-date x 100-instrument wide panel, 10% blank: about 100k cells."""
     rng = np.random.default_rng(8)
     n_dates, n_ids = 1100, 100
     values = rng.normal(0.0, 1.5, (n_dates, n_ids))
@@ -373,16 +388,34 @@ def test_wide_load_memory_is_bounded_per_cell(tmp_path):
     for d, row, mask in zip(dates, values, present):
         cells = [repr(float(v)) if m else "" for v, m in zip(row, mask)]
         lines.append(",".join([str(d)] + cells))
-    path = write(tmp_path, "\n".join(lines) + "\n")
-    del lines
+    return write(tmp_path, "\n".join(lines) + "\n"), int(present.sum())
+
+
+def test_wide_load_memory_is_bounded_per_cell(tmp_path):
+    path, cells = write_memory_panel(tmp_path)
     tracemalloc.start()
     try:
         panel = load_panel(path, format="wide")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(panel) == int(present.sum())  # about 100k cells
+    assert len(panel) == cells  # about 100k cells
     assert peak / len(panel) <= 150
+
+
+def test_wide_load_to_series_holds_few_bytes_per_cell(tmp_path):
+    # the cell matrix, its mask and the three long arrays, then one sorted
+    # copy of the dates: about 34 bytes per present cell; per-row arrays,
+    # index arrays or the pair check's keys would take it to about 75
+    path, cells = write_memory_panel(tmp_path)
+    tracemalloc.start()
+    try:
+        series = equal_weight_series(load_panel(path, format="wide"), "daily")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 1100
+    assert peak / cells <= 48
 
 
 class TestEqualWeightSeries:
