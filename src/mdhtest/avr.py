@@ -114,13 +114,6 @@ def _chunk_statistics(rho: np.ndarray, n_obs: int):
     return statistic, vr, bandwidth
 
 
-def _pipeline(values: np.ndarray) -> tuple[float, float, float]:
-    """(statistic, vr, bandwidth) of the full automatic pipeline on raw values."""
-    rho = autocorrelations(values)
-    statistic, vr, bandwidth = _chunk_statistics(rho[None, :], len(values))
-    return float(statistic[0]), float(vr[0]), float(bandwidth[0])
-
-
 def variance_ratio(series: ReturnSeries, k: float) -> float:
     """Kernel-weighted variance ratio VR(k) over all T-1 lags, no truncation."""
     values = _checked(series.values, 4)
@@ -141,7 +134,10 @@ def auto_bandwidth(series: ReturnSeries) -> float:
 
 def avr_statistic(series: ReturnSeries) -> tuple[float, float, float]:
     """(statistic, vr, bandwidth) with the automatic bandwidth choice."""
-    return _pipeline(_checked(series.values, 4))
+    values = _checked(series.values, 4)
+    rho = autocorrelations(values)
+    statistic, vr, bandwidth = _chunk_statistics(rho[None, :], len(values))
+    return float(statistic[0]), float(vr[0]), float(bandwidth[0])
 
 
 def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
@@ -159,9 +155,9 @@ def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
     The two-sided p-value uses the add-one rule; the band is the 2.5/97.5
     percentile pair of the bootstrap statistics.
     """
-    values = _checked(series.values, 4)
+    statistic, vr, bandwidth = avr_statistic(series)
+    values = series.values
     T = len(values)
-    statistic, vr, bandwidth = _pipeline(values)
     rows = min(boot.n_boot, max(1, _CHUNK_BYTES // (8 * (T - 1))))
     rho = np.empty((rows, T - 1))
     boot_stats = np.empty(boot.n_boot)

@@ -75,6 +75,13 @@ def _emit(text: str, out_path) -> None:
         raise OSError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
+def _emit_csv(rows, out_path) -> None:
+    """Write ``rows`` as CSV through :func:`_emit`; a None cell is left empty."""
+    buf = io.StringIO()
+    _csv_writer(buf, lineterminator="\n").writerows(rows)
+    _emit(buf.getvalue(), out_path)
+
+
 def _load_series(args, frequency="daily"):
     return equal_weight_series(load_panel(args.input, args.format), frequency)
 
@@ -127,13 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="summary moments and normality test")
+    p.set_defaults(run=_cmd_describe)
     _add_input_args(p)
 
     p = sub.add_parser("avr", help="automatic variance ratio test")
+    p.set_defaults(run=_cmd_avr)
     _add_input_args(p)
     _add_boot_args(p)
 
     p = sub.add_parser("gs", help="generalized spectral test")
+    p.set_defaults(run=_cmd_gs)
     _add_input_args(p)
     _add_boot_args(p)
     p.add_argument(
@@ -142,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("roll", help="rolling-window test over calendar years")
+    p.set_defaults(run=_cmd_roll)
     _add_input_args(p)
     p.add_argument(
         "--frequency", choices=FREQUENCIES, default="daily",
@@ -167,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_boot_args(p)
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic series")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument(
         "--params", default="",
@@ -250,17 +262,14 @@ def _cmd_roll(args) -> int:
     boot = _boot_config(args)
     series = _load_series(args, args.frequency)
     result = run_rolling(series, spec, args.test, boot, workers=workers)
-    buf = io.StringIO()
-    rows = _csv_writer(buf, lineterminator="\n")
-    rows.writerow(_ROLL_COLUMNS)
+    rows = [_ROLL_COLUMNS]
     n_sig = n_skip = 0
     for win in result.windows:
         n_skip += win.outcome is None
         n_sig += bool(win.significant_5pct)
         numbers = [getattr(win.outcome, name, None) for name in _ROLL_NUMBERS]
         significant = {None: "", True: "true", False: "false"}[win.significant_5pct]
-        # csv writes None as an empty cell
-        rows.writerow(
+        rows.append(
             [
                 str(win.start),
                 str(win.end),
@@ -270,7 +279,7 @@ def _cmd_roll(args) -> int:
                 win.skip_reason,
             ]
         )
-    _emit(buf.getvalue(), args.out)
+    _emit_csv(rows, args.out)
     print(
         f"{len(result.windows)} windows: {n_sig} significant at 5%, "
         f"{n_skip} skipped",
@@ -307,12 +316,9 @@ def _cmd_simulate(args) -> int:
         frequency=args.frequency,
     )
     series = generate(spec)
-    buf = io.StringIO()
-    rows = _csv_writer(buf, lineterminator="\n")
-    rows.writerow(["date", args.kind])
-    for date, value in zip(series.dates, series.values):
-        rows.writerow([str(date), _fmt(value)])
-    _emit(buf.getvalue(), args.out)
+    rows = [("date", args.kind)]
+    rows.extend((str(d), _fmt(v)) for d, v in zip(series.dates, series.values))
+    _emit_csv(rows, args.out)
     print(
         f"simulated {args.kind} series, length {args.length}, seed {args.seed}",
         file=sys.stderr,
@@ -320,19 +326,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "describe": _cmd_describe,
-    "avr": _cmd_avr,
-    "gs": _cmd_gs,
-    "roll": _cmd_roll,
-    "simulate": _cmd_simulate,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

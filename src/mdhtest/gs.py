@@ -171,10 +171,13 @@ def gram_matrix(series: ReturnSeries) -> np.ndarray:
     return w
 
 
-def _resolve_max_lag(T: int, max_lag) -> int:
+def _lagged(series: ReturnSeries, max_lag) -> tuple[np.ndarray, int]:
+    """The checked values and max_lag as a count, T - 1 for None or "full"."""
+    values = _checked(series.values, 2)
+    T = len(values)
     if max_lag is None or max_lag == "full":
         max_lag = T - 1
-    return _count(max_lag, "max_lag", 1, T - 1)
+    return values, _count(max_lag, "max_lag", 1, T - 1)
 
 
 def _suffix_sums(a: np.ndarray, J: int) -> np.ndarray:
@@ -260,8 +263,7 @@ def gs_statistic(series: ReturnSeries, max_lag="full") -> float:
     observations. Per-lag terms are each nonnegative sums of squares, and
     are combined with exact summation.
     """
-    values = _checked(series.values, 2)
-    return _fit(values, _resolve_max_lag(len(values), max_lag)).statistic
+    return _fit(*_lagged(series, max_lag)).statistic
 
 
 def truncation_bound(series: ReturnSeries, max_lag) -> float:
@@ -274,10 +276,8 @@ def truncation_bound(series: ReturnSeries, max_lag) -> float:
     slack plus 1e-12 of the full-lag statistic, and is 0.0 at ``"full"``.
     It costs about one ``gs_statistic(series)``.
     """
-    values = _checked(series.values, 2)
-    T = len(values)
-    J = _resolve_max_lag(T, max_lag)
-    fit = _fit(values, T - 1)
+    values, J = _lagged(series, max_lag)
+    fit = _fit(values, len(values) - 1)
     unfactored = float(fit.traces[-1] * (fit.weight[J:] @ fit.norms[J:]))
     return (math.fsum(fit.terms[J:]) + unfactored) * (1.0 + _TRUNCATION_SLACK)
 
@@ -390,8 +390,7 @@ def gs_test(
     shared across lags -- then re-centers per lag, while the Gram factor of
     the original conditioning values stays fixed (see module docstring).
     """
-    values = _checked(series.values, 2)
-    J = _resolve_max_lag(len(values), max_lag)
+    values, J = _lagged(series, max_lag)
     fit = _fit(values, J)
     p_value = (1.0 + _exceedances(fit, boot)) / (boot.n_boot + 1.0)
     return GsOutcome(

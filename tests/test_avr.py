@@ -18,7 +18,7 @@ from mdhtest import (
     variance_ratio,
 )
 from mdhtest import avr
-from mdhtest.avr import _CHUNK_BYTES, _bandwidth_from_rho1, _pipeline
+from mdhtest.avr import _CHUNK_BYTES, _bandwidth_from_rho1
 from mdhtest.bootstrap import AVR_DOMAIN, _substreams, draw_multipliers, substream
 from mdhtest.series import _DIRECT_ACV_LIMIT, autocorrelations
 from conftest import make_series
@@ -175,12 +175,12 @@ class TestAvrTest:
             s = make_series(values)
             boot = BootstrapConfig(n_boot=n_boot, multiplier=law, seed=seed)
             out = avr_test(s, boot)
-            stat, vr, bw = _pipeline(values)
+            stat, vr, bw = avr_statistic(s)
             boot_stats = np.empty(boot.n_boot)
             for j in range(boot.n_boot):
                 rng = substream(boot.seed, AVR_DOMAIN, j)
                 eta = draw_multipliers(rng, boot.multiplier, len(values))
-                boot_stats[j], _, _ = _pipeline(eta * values)
+                boot_stats[j], _, _ = avr_statistic(make_series(eta * values))
             exceed = int(np.sum(np.abs(boot_stats) >= abs(stat)))
             ci_low, ci_high = np.percentile(boot_stats, [2.5, 97.5])
             want = AvrOutcome(
@@ -233,14 +233,14 @@ class TestAvrTest:
         boot = BootstrapConfig(n_boot=199, multiplier=law, seed=0)
         out = avr_test(make_series(values), boot)
         assert len(acfs) == 200
-        stat, _, _ = _pipeline(values)
+        stat, _, _ = avr_statistic(make_series(values))
         boot_stats, constant = np.zeros(boot.n_boot), 0
         for j in range(boot.n_boot):
             eta = draw_multipliers(substream(0, AVR_DOMAIN, j), law, len(values))
             if np.ptp(eta * values) == 0.0:
                 constant += 1
             else:
-                boot_stats[j] = _pipeline(eta * values)[0]
+                boot_stats[j] = avr_statistic(make_series(eta * values))[0]
         assert (constant > 0) == (law == "rademacher")
         exceed = int(np.sum(np.abs(boot_stats) >= abs(stat)))
         assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)

@@ -21,7 +21,7 @@ from mdhtest import (
     truncation_bound,
     variance_ratio,
 )
-from mdhtest.series import _fast_len
+from mdhtest.series import _DIRECT_ACV_LIMIT, _fast_len
 from conftest import make_series
 from reference import ref_autocorr, ref_jarque_bera
 
@@ -168,12 +168,19 @@ class TestAutocorrelations:
     def test_matches_per_lag_estimates(self):
         rng = np.random.default_rng(2)
         values = rng.standard_normal(60)
-        s = make_series(values)
         rho = autocorrelations(values)
         for lag in range(1, 60):
             assert rho[lag - 1] == pytest.approx(
-                autocorr(s, lag), rel=1e-10, abs=1e-13
+                ref_autocorr(list(values), lag), rel=1e-10, abs=1e-13
             )
+
+    @pytest.mark.parametrize("T", [50, _DIRECT_ACV_LIMIT, _DIRECT_ACV_LIMIT + 1])
+    def test_autocorr_is_one_lag_of_it(self, T):
+        # the direct (T <= _DIRECT_ACV_LIMIT) and FFT paths alike
+        values = np.random.default_rng(T).standard_normal(T)
+        s = make_series(values)
+        for lag in (1, 2, T - 1):
+            assert autocorr(s, lag) == autocorrelations(values, max_lag=lag)[lag - 1]
 
     def test_fft_and_direct_paths_agree(self):
         # T=2500 exercises the FFT path; compare against the direct product
