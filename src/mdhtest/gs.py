@@ -59,38 +59,50 @@ has the Gram matrix's mean level projected out, making the test blind
 (near-zero rejection at any nominal size).
 
 The p-value needs only whether each replication D*^2 reaches D^2, and
-most replications settle that long before the last column. With S_k a
-replication's value over the first k columns and R_k the residual after
-k pivots, the columns from k on add
-sum_j gamma_j |L[:n, k:]' c*_j|^2 <= tr(R_k) * sum_j gamma_j |c*_j|^2,
-because L[:, k:] L[:, k:]' = R_k - R_K is dominated by R_k. Bounding
-|c*_j|^2 by |eta * e^(j)|^2 brackets the full-rank value:
+most replications settle that long before the last column. The bootstrap
+runs on the factor rotated onto the eigenvectors V of its K x K Gram
+matrix L'L, by falling eigenvalue: the columns of L V are orthogonal,
+their squared norms are those eigenvalues, and the leading columns carry
+most of any replication's value. L V V' L' = L L', so the rotation keeps
+every quadratic form. With S_k a replication's value over the first k
+rotated columns and tail[k] the squared Frobenius norm of the columns
+from k on (tail[K] = 0),
 
-    S_k <= S_K <= S_k + tr(R_k) * sum_j gamma_j |eta * e^(j)|^2
-                 = S_k + tr(R_k) * sum_t eta_t^2 v_t,
+    S_k <= S_K <= S_k + tail[k] * sum_j gamma_j |c*_j|^2
+               <= S_k + tail[k] * sum_t eta_t^2 v_t.
 
-where v_t = sum_{j <= t} gamma_j (z_t - shift_j)^2 regroups the lag sums
-by time index. The fit builds v from prefix sums of gamma, gamma * shift
-and gamma * shift^2, so a row's upper end costs one dot product.
+The middle step holds because the tail block's squared spectral norm is
+at most its squared Frobenius norm; the last because centering only
+shrinks a vector, |c*_j|^2 <= |eta * e^(j)|^2, and v_t = sum_{j <= t}
+gamma_j (z_t - shift_j)^2 regroups the lag sums by time index. The fit
+builds v from prefix sums of gamma, gamma * shift and gamma * shift^2, so
+a row's upper end costs one dot product. The Frobenius tail is computed
+from the rotated columns themselves, so no eigenvalue, and no error of
+the eigensolver, enters the bound; V need only be orthogonal, which it is
+to O(K * 2^-53).
 
-Every replication is first evaluated on k columns, k the first rank
-whose certified error on the observed statistic, tr(R_k) * sum_j
-gamma_j |c_j|^2, is at most 1e-3 * D^2. A row whose bracket lies above
-or below D^2 by more than a slack is decided; only the others are
-evaluated on all K columns and compared with D^2 as before, so the
-exceedance count, and the p-value, equal the full-rank ones exactly.
-The slack is 1e-9 * (D^2 + upper end), and covers roundoff. A row's
-transforms do not depend on how many rows or columns share the batch,
-so S_k and S_K sum the same computed terms, all nonnegative; each sum is
-then within (K + J) * 2^-53 relative of its exact value, under 3e-12
-for T up to 1e4. The FFT error in the omitted columns and the rounding
-of tr(R_k) and of v move the upper end by amounts of the same relative
-size, far below both the slack and the excess of the trace bound over
-the tail it bounds.
+A block of replications runs through the rotated columns one at a time.
+After each column, a row whose bracket lies above or below D^2 by more
+than a slack is decided and leaves the block. Rows still open after the
+last column, where the bracket is one value within the slack of D^2, are
+evaluated on the original K columns and compared with D^2 as before, so
+the exceedance count, and the p-value, equal the full-rank ones exactly.
+The slack is 1e-9 * (D^2 + upper end), and covers roundoff. The rotated
+and the original full-rank values differ by V's departure from
+orthogonality and by the rounding of their sums of nonnegative terms,
+each sum within (K + J) * 2^-53 relative of its exact value: under 3e-12
+for T up to 1e4. The FFT error in the columns and the rounding of tail
+and v move the upper end by amounts of the same relative size, far below
+both the slack and the excess of the Frobenius bound over the tail it
+bounds. On the benchmark's percent-scale series (T = 250, K 16 to 24) a
+replication leaves after 0.24 * K columns on average, and none reaches
+the full-rank finish.
 
-Replications run in batches that fit one workspace sized for _BATCH
-full-rank rows: (_BATCH * K) // k rows on the k-column pass, _BATCH rows
-at full rank. Working memory is O(_BATCH * K * T).
+A block holds as many rows as fit _BLOCK_BYTES at about 64 * nfft bytes
+a row: the multipliers, their spectra, one column's products and
+correlations, and the per-lag means. The full-rank finish reuses the
+block's workspace, sized for max(rows, K) (row, column) pairs, so working
+memory is O(_BLOCK_BYTES + K * T).
 """
 
 from __future__ import annotations
@@ -107,20 +119,17 @@ from .series import ReturnSeries, _checked, _count, _fast_len
 
 # Certified error of the Gram factor, relative to the statistic.
 _REL_TOL = 1e-12
-# The bootstrap's first pass uses the columns that certify the statistic
-# to this relative error (module docstring).
-_SPLIT = 1e-3
 # Roundoff allowance of a bootstrap decision, relative to D^2 plus the
 # row's upper end (module docstring).
 _SLACK = 1e-9
 # Roundoff allowance of truncation_bound, relative to the bound (module
 # docstring).
 _TRUNCATION_SLACK = 1e-11
-# Full-rank replications per batched FFT. Their workspace also bounds the
-# first pass, which fills it with (_BATCH * K) // k rows rather than
-# _BATCH: batch size moves time, not only memory, since every batch pays
-# the same fixed run of numpy calls however few rows it carries.
-_BATCH = 2
+# Bytes of a bootstrap block's buffers, which sets its rows (module
+# docstring). Every column step pays the same fixed run of numpy calls
+# however few rows it carries, so small blocks cost time; large ones cost
+# memory, and gain nothing once the buffers outgrow the cache.
+_BLOCK_BYTES = 640 * 1024
 
 
 @dataclass(frozen=True)
@@ -151,11 +160,13 @@ class _Fit:
     weight: np.ndarray  # (J,) gamma_j; 0 where one residual survives
     shift: np.ndarray  # (J,) per-lag mean minus overall mean
     counts: np.ndarray  # (J,) residuals per lag, T - j
+    trace: float  # tr(R), the factor's residual trace
     z: np.ndarray  # (T,) data minus its mean
     spectra: np.ndarray  # (K, nfft//2 + 1) conjugate spectra of L's columns
     prefix: np.ndarray  # (K, J) column sums over the first T - j rows
-    traces: np.ndarray  # (K + 1,) tr(R_k), the residual's trace after k pivots
-    split: int  # columns of the bootstrap's first pass
+    rotated: np.ndarray  # (K, nfft//2 + 1) the same for the rotated factor L V
+    rotated_prefix: np.ndarray  # (K, J) the same as prefix, for L V
+    tail: np.ndarray  # (K + 1,) squared Frobenius norm of L V's columns k..K-1
     spread: np.ndarray  # (T,) v_t = sum_{j <= t} gamma_j (z_t - shift_j)^2
 
 
@@ -208,8 +219,8 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
     sums = np.zeros(J)  # sum_k u_jk^2 per lag
     lower = 0.0  # the factored statistic so far, a lower bound on D^2
     K = 0
-    traces = [float(resid.sum())]
-    while traces[-1] * budget > _REL_TOL * lower:
+    trace = float(resid.sum())
+    while trace * budget > _REL_TOL * lower:
         # tr(R) > 0 here, so the largest residual, the pivot, is positive
         q = int(np.argmax(resid))
         col = np.expm1(-0.5 * (x - x[q]) ** 2) - anchor - anchor[q]
@@ -222,7 +233,7 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         resid -= col * col
         resid[q] = 0.0
         np.maximum(resid, 0.0, out=resid)
-        traces.append(float(resid.sum()))
+        trace = float(resid.sum())
         # u_jk = xcorr(L_k, z)[j] - shift_j * sum_{t < T-j} L_tk, all j at once
         spec = np.conj(np.fft.rfft(col, nfft))
         pre = np.cumsum(col)[N - lags]
@@ -233,8 +244,11 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         prefix.append(pre)
     terms = weight * sums
     statistic = math.fsum(terms)
-    error_bound = traces[-1] * budget
-    traces = np.array(traces)
+    error_bound = trace * budget
+    # (L V)' by rows, V the eigenvectors of L'L by falling eigenvalue
+    # (module docstring); a real product, then one FFT per rotated column
+    turned = np.linalg.eigh(rows[:K] @ rows[:K].T)[1][:, ::-1].T @ rows[:K]
+    tail = np.cumsum(np.einsum("kt,kt->k", turned, turned)[::-1])[::-1]
     # prefix sums over lags j <= t of gamma_j, gamma_j shift_j, gamma_j shift_j^2
     g = np.cumsum([weight, weight * shift, weight * shift**2], axis=1)
     g = np.pad(g, ((0, 0), (1, 0)))[:, np.minimum(np.arange(T), J)]
@@ -250,8 +264,10 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         z=z,
         spectra=np.array(spectra).reshape(K, nfft // 2 + 1),
         prefix=np.array(prefix).reshape(K, J),
-        traces=traces,
-        split=int(np.argmax(traces * budget <= _SPLIT * statistic)),
+        rotated=np.conj(np.fft.rfft(turned, nfft)),
+        rotated_prefix=np.cumsum(turned, axis=1)[:, N - lags],
+        tail=np.append(tail, 0.0),
+        trace=trace,
         spread=np.maximum(z * (z * g[0] - 2.0 * g[1]) + g[2], 0.0),
     )
 
@@ -278,56 +294,53 @@ def truncation_bound(series: ReturnSeries, max_lag) -> float:
     """
     values, J = _lagged(series, max_lag)
     fit = _fit(values, len(values) - 1)
-    unfactored = float(fit.traces[-1] * (fit.weight[J:] @ fit.norms[J:]))
+    unfactored = float(fit.trace * (fit.weight[J:] @ fit.norms[J:]))
     return (math.fsum(fit.terms[J:]) + unfactored) * (1.0 + _TRUNCATION_SLACK)
 
 
-def _workspace(fit: _Fit, m: int) -> tuple:
-    """Flat product, correlation and lift buffers for m full-rank rows.
+def _workspace(fit: _Fit, slots: int) -> tuple:
+    """Flat product, correlation and lift buffers for ``slots`` (row, column) pairs.
 
-    A pass over k of the K columns fits (m * K) // k rows in the same
-    buffers. One workspace serves every batch of a test. The first two
-    buffers exceed glibc's default mmap threshold (128 KiB) from T ~ 250,
-    K ~ 20, so a fresh allocation per batch is unmapped on free and
-    page-faulted back in on the next batch: at T = 250, B = 199 a test
-    took about 18 000 minor page faults that way, against about 180 with
-    one workspace.
+    The column loop fills them with one column of up to ``slots`` rows, the
+    full-rank finish with all K columns of ``slots // K`` rows. One
+    workspace serves every block of a test. The first two buffers exceed
+    glibc's default mmap threshold (128 KiB) from T ~ 250, so a fresh
+    allocation per block is unmapped on free and page-faulted back in on
+    the next: at T = 250, B = 199 a test took about 18 000 minor page
+    faults that way, against about 180 with one workspace.
     """
-    K, J = fit.prefix.shape
+    J = len(fit.weight)
     return (
-        np.empty(2 * m * K * (fit.nfft // 2 + 1), dtype=complex),
-        np.empty(2 * m * K * fit.nfft),
-        np.empty(m * K * J),
+        np.empty(2 * slots * (fit.nfft // 2 + 1), dtype=complex),
+        np.empty(2 * slots * fit.nfft),
+        np.empty(slots * J),
     )
 
 
-def _replicate(
-    fit: _Fit, eta: np.ndarray, work: tuple | None = None, columns: int | None = None
-) -> np.ndarray:
-    """Bootstrap statistics for the multiplier rows of ``eta`` (m x T).
+def _replicate(fit: _Fit, eta: np.ndarray, work: tuple | None = None) -> np.ndarray:
+    """Full-rank bootstrap statistics for the multiplier rows of ``eta`` (m x T).
 
-    Uses the first ``columns`` columns of the Gram factor, all K by
-    default. For each lag and column k, u*_jk = xcorr(L_k, eta*z)[j]
-    - shift_j * xcorr(L_k, eta)[j] - mean_j(eta * e^(j)) * prefix_k(T - j).
-    ``work`` is a ``_workspace`` with room for m rows of that many
-    columns; one is allocated when it is omitted.
+    For each lag and column k of the Gram factor, u*_jk = xcorr(L_k,
+    eta*z)[j] - shift_j * xcorr(L_k, eta)[j] - mean_j(eta * e^(j)) *
+    prefix_k(T - j). ``work`` is a ``_workspace`` with room for m * K
+    slots; one is allocated when it is omitted.
     """
     J = len(fit.weight)
     m = len(eta)
-    K = len(fit.spectra) if columns is None else columns
+    K = len(fit.spectra)
     bins = fit.nfft // 2 + 1
-    prod, corr, lift = work or _workspace(fit, m)
+    prod, corr, lift = work or _workspace(fit, m * K)
     prod = prod[: 2 * m * K * bins].reshape(2 * m, K, bins)
     corr = corr[: 2 * m * K * fit.nfft].reshape(2 * m, K, fit.nfft)
     lift = lift[: m * K * J].reshape(m, K, J)
     inputs = np.concatenate([eta * fit.z, eta])
     spec = np.fft.rfft(inputs, fit.nfft)
-    np.multiply(spec[:, None, :], fit.spectra[:K], out=prod)
+    np.multiply(spec[:, None, :], fit.spectra, out=prod)
     np.fft.irfft(prod, fit.nfft, out=corr)
     u, rest = corr[:m, :, 1 : J + 1], corr[m:, :, 1 : J + 1]
     tails = _suffix_sums(inputs, J)
     mean = (tails[:m] - fit.shift * tails[m:]) / fit.counts
-    np.multiply(mean[:, None, :], fit.prefix[:K], out=lift)
+    np.multiply(mean[:, None, :], fit.prefix, out=lift)
     rest *= fit.shift
     rest += lift
     u -= rest
@@ -336,45 +349,87 @@ def _replicate(
     return (np.einsum("bkj,bkj->bj", u, u) * fit.weight).sum(axis=1)
 
 
-def _bracket(fit: _Fit, eta: np.ndarray, work: tuple | None = None) -> tuple:
-    """Lower and upper ends of each row's full-rank value.
+def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> tuple:
+    """Decide a block's rows over the rotated columns, one column at a time.
 
-    The lower end is the value over the first k = ``fit.split`` columns;
-    the upper end adds tr(R_k) * sum_t eta_t^2 v_t (module docstring).
+    ``inputs`` is (2, n, T) with the block's multipliers in ``inputs[1]``;
+    ``inputs[0]`` receives eta * z and ``spec`` (2, n, nfft//2 + 1) the
+    spectra of both. After column k a row's value over the first k + 1
+    columns, ``low``, brackets its full-rank value with ``low + tail[k + 1]
+    * sum_t eta_t^2 v_t``; a row leaves once the bracket lies clear of D^2
+    (module docstring). Returns the number of rows decided at or above
+    D^2, and the indices of the rows still open after the last column.
     """
-    low = _replicate(fit, eta, work, fit.split)
-    return low, low + fit.traces[fit.split] * ((eta * eta) @ fit.spread)
+    K, J = fit.prefix.shape
+    D = fit.statistic
+    nfft = fit.nfft
+    bins = nfft // 2 + 1
+    prod, corr, lift = work
+    eta = inputs[1]
+    np.multiply(eta, fit.z, out=inputs[0])
+    np.fft.rfft(inputs, nfft, out=spec)
+    tails = _suffix_sums(inputs, J)
+    mean = (tails[0] - fit.shift * tails[1]) / fit.counts
+    energy = (eta * eta) @ fit.spread
+    rows = np.arange(len(eta))  # the open rows
+    low = np.zeros(len(eta))  # their values over the columns so far
+    above = 0
+    for k in range(K):
+        n = len(rows)
+        prod_k = prod[: 2 * n * bins].reshape(2, n, bins)
+        corr_k = corr[: 2 * n * nfft].reshape(2, n, nfft)
+        lift_k = lift[: n * J].reshape(n, J)
+        open_spec, open_mean = spec, mean
+        if n < len(eta):  # rows have left: gather the open ones into the buffers
+            # mode="clip" writes into out directly; "raise" would buffer it
+            open_spec = spec.take(rows, axis=1, out=prod_k, mode="clip")
+            open_mean = mean.take(rows, axis=0, out=lift_k, mode="clip")
+        np.multiply(open_spec, fit.rotated[k], out=prod_k)
+        np.fft.irfft(prod_k, nfft, out=corr_k)
+        np.multiply(open_mean, fit.rotated_prefix[k], out=lift_k)
+        u, rest = corr_k[0, :, 1 : J + 1], corr_k[1, :, 1 : J + 1]
+        rest *= fit.shift
+        rest += lift_k
+        u -= rest
+        u *= u
+        low += u @ fit.weight
+        high = low + fit.tail[k + 1] * energy[rows]
+        slack = _SLACK * (D + high)
+        above += int(np.count_nonzero(low - D > slack))
+        keep = (low - D <= slack) & (D - high <= slack)
+        rows, low = rows[keep], low[keep]
+        if not len(rows):
+            break
+    return above, rows
 
 
 def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     """Bootstrap statistics at or above the observed one.
 
     Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``, derived in
-    bulk by ``_substreams``. Each is bracketed over ``fit.split`` columns;
-    those the bracket leaves open are evaluated at full rank, _BATCH at a
-    time.
+    bulk by ``_substreams``. Blocks of replications go through ``_retire``,
+    and the rows it leaves open are evaluated at full rank by
+    ``_replicate``. Every buffer is allocated once per test.
     """
     T = len(fit.z)
-    D = fit.statistic
-    # the split is 0 only at rank 0, whose first pass has no columns
-    rows = _BATCH * len(fit.spectra) // fit.split if fit.split else _BATCH
-    work = _workspace(fit, _BATCH)
+    K = len(fit.spectra)
+    m = min(boot.n_boot, max(1, _BLOCK_BYTES // (64 * fit.nfft)))
+    finish = max(1, m // K) if K else m  # full-rank rows that fit the workspace
+    work = _workspace(fit, max(m, K))
+    inputs = np.empty((2, m, T))
+    spectra = np.empty((2, m, fit.nfft // 2 + 1), dtype=complex)
     exceed = 0
     streams = _substreams(boot.seed, GS_DOMAIN, 0, boot.n_boot)
-    for start in range(0, boot.n_boot, rows):
-        stop = min(start + rows, boot.n_boot)
-        eta = np.array(
-            [
-                draw_multipliers(rng, boot.multiplier, T)
-                for _, rng in zip(range(stop - start), streams)
-            ]
-        )
-        low, high = _bracket(fit, eta, work)
-        slack = _SLACK * (D + high)
-        exceed += int(np.sum(low - D > slack))
-        eta = eta[(low - D <= slack) & (D - high <= slack)]
-        for i in range(0, len(eta), _BATCH):
-            exceed += int(np.sum(_replicate(fit, eta[i : i + _BATCH], work) >= D))
+    for start in range(0, boot.n_boot, m):
+        n = min(m, boot.n_boot - start)
+        for row, rng in zip(inputs[1, :n], streams):
+            row[:] = draw_multipliers(rng, boot.multiplier, T)
+        above, rows = _retire(fit, inputs[:, :n], spectra[:, :n], work)
+        exceed += above
+        eta = inputs[1, rows]
+        for i in range(0, len(eta), finish):
+            full = _replicate(fit, eta[i : i + finish], work)
+            exceed += int(np.sum(full >= fit.statistic))
     return exceed
 
 

@@ -159,7 +159,9 @@ def _demeaned(values: np.ndarray) -> tuple[np.ndarray, float]:
     4.6 eps |mean|.
     """
     T = len(values)
-    mean = values.mean()
+    # the same sum and division as values.mean(), bit for bit, in under half
+    # of its time here: a bootstrap centers every replication
+    mean = values.sum() / T
     d = values - mean
     den = float(d @ d)
     rounding = T * 2.0**-52 * float(mean)  # a product: overflow gives inf

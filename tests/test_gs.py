@@ -17,7 +17,7 @@ from mdhtest import (
 )
 from mdhtest import gs
 from mdhtest.bootstrap import GS_DOMAIN, _substreams, draw_multipliers, substream
-from mdhtest.gs import _SLACK, _bracket, _exceedances, _fit, _replicate
+from mdhtest.gs import _exceedances, _fit, _replicate
 from conftest import make_series
 from reference import (
     random_series_values,
@@ -284,11 +284,24 @@ def _draws(boot, T):
     )
 
 
-class TestEarlyDecision:
-    # every replication is bracketed from the first fit.split columns of the
-    # Gram factor; only rows the bracket cannot decide run at full rank
+def _spy_finish(monkeypatch):
+    """The multiplier blocks that reach gs's full-rank finish, as a list."""
+    finished = []
 
-    @pytest.mark.parametrize(
+    def spy(fit, rows, work=None):
+        finished.append(rows.copy())
+        return _replicate(fit, rows, work)
+
+    monkeypatch.setattr(gs, "_replicate", spy)
+    return finished
+
+
+class TestEarlyDecision:
+    # every replication runs through the rotated columns of the Gram factor
+    # one at a time and retires once its bracket decides it; only rows
+    # still open after the last column run at full rank
+
+    REGIMES = pytest.mark.parametrize(
         "make",
         [
             lambda rng: 0.01 * rng.standard_normal(300),  # decimal, K ~ 4
@@ -296,54 +309,89 @@ class TestEarlyDecision:
             lambda rng: 3.0 * rng.standard_normal(300),  # K ~ 46
             lambda rng: 100.0 + rng.standard_normal(300),
             lambda rng: np.round(rng.standard_normal(300), 1),  # ties
+            lambda rng: np.array([0.5, -0.2]),  # rank 0
+            lambda rng: rng.choice([-1.0, 1.0], 300),  # two values: rank 1
         ],
-        ids=["decimal", "percent", "sd3", "offset100", "ties"],
+        ids=["decimal", "percent", "sd3", "offset100", "ties", "rank0", "rank1"],
     )
+
+    @staticmethod
+    def _turned(fit):
+        # the rotated factor's columns, recovered from their spectra
+        return np.fft.irfft(np.conj(fit.rotated), fit.nfft)[:, : len(fit.z) - 1]
+
+    @REGIMES
     def test_bracket_holds(self, make):
         values = make(np.random.default_rng(51))
         T = len(values)
         fit = _fit(values, T - 1)
-        k = fit.split
-        assert 1 <= k < len(fit.spectra)
+        K = len(fit.spectra)
         eta = _draws(BootstrapConfig(n_boot=200, seed=3), T)
         full = _replicate(fit, eta)
-        low, high = _bracket(fit, eta)
-        # sum_j gamma_j |c*_j|^2 with c*_j the re-centered rescaled residuals
+        turned = self._turned(fit)
+        # partial[k]: the value over the first k rotated columns, by direct
+        # products; norms: sum_j gamma_j |c*_j|^2, c*_j the re-centered
+        # rescaled residuals
+        partial = np.zeros((K + 1, len(eta)))
         norms = np.zeros(len(eta))
         for j in range(1, T):
             c = eta[:, j:] * (values[j:] - values[j:].mean())
             c -= c.mean(axis=1, keepdims=True)
+            u = c @ turned[:, : T - j].T
+            partial[1:] += fit.weight[j - 1] * np.cumsum(u * u, axis=1).T
             norms += fit.weight[j - 1] * np.einsum("bt,bt->b", c, c)
-        assert np.all(low <= full)
-        assert np.all(full <= low + fit.traces[k] * norms)
-        assert np.all(low + fit.traces[k] * norms <= high)
+        tol = 1.0 + 1e-12
+        for k in range(K + 1):
+            low = partial[k]
+            assert np.all(low <= full * tol)
+            assert np.all(full <= (low + fit.tail[k] * norms) * tol)
+        # so the upper end the code uses, low + tail[k] * sum_t eta_t^2 v_t,
+        # holds too
+        assert np.all(norms <= ((eta * eta) @ fit.spread) * tol)
+        # the rotation keeps the quadratic form: all K columns give _replicate's
+        assert np.allclose(partial[K], full, rtol=1e-12, atol=0.0)
+
+    @REGIMES
+    def test_tail_bounds_spectral_norm(self, make):
+        # a Frobenius norm bounds the spectral norm: tail[k] caps the
+        # largest eigenvalue of the trailing columns' Gram matrix
+        values = make(np.random.default_rng(51))
+        fit = _fit(values, len(values) - 1)
+        turned = self._turned(fit)
+        K = len(turned)
+        assert fit.tail[K] == 0.0
+        for k in range(K):
+            top = np.linalg.eigvalsh(turned[k:] @ turned[k:].T)[-1]
+            assert fit.tail[k] >= top * (1.0 - 1e-12)
+        # falling eigenvalues: each column carries at most the one before,
+        # up to the rounding of the largest
+        energy = np.einsum("kt,kt->k", turned, turned)
+        assert np.all(energy[1:] <= energy[:-1] + 1e-12 * energy[:1])
 
     def test_straddling_rows_finish_at_full_rank(self, monkeypatch):
         values = random_series_values(np.random.default_rng(52), 300) * 100.0
         fit = _fit(values, 299)
         boot = BootstrapConfig(n_boot=200, seed=4)
         eta = _draws(boot, 300)
-        low, high = _bracket(fit, eta)
-        # a point inside the most brackets becomes the observed statistic
-        covered = [np.sum((low <= x) & (x <= high)) for x in low]
-        D = float(low[int(np.argmax(covered))] + 0.5 * (high - low).min())
-        slack = _SLACK * (D + high)
-        straddle = (low - D <= slack) & (D - high <= slack)
-        assert 2 <= straddle.sum() < 20
-        finished = []
-
-        def spy(fit, rows, work=None, columns=None):
-            if columns is None:
-                finished.extend(map(bytes, rows))
-            return _replicate(fit, rows, work, columns)
-
-        monkeypatch.setattr(gs, "_replicate", spy)
+        # -eta gives the same value bit for bit: three rows tie with D, and
+        # no column can decide a tie
+        eta[[10, 20]] = -eta[0]
+        D = float(_replicate(fit, eta[:1])[0])
+        full = _replicate(fit, eta)
+        assert np.sum(np.abs(full - D) <= 1e-6 * D) == 3
+        # one draw per replication: the finish reuses a row's multipliers,
+        # and a 201st draw would raise StopIteration
+        rows = iter(eta)
+        monkeypatch.setattr(gs, "draw_multipliers", lambda rng, law, T: next(rows))
+        finished = _spy_finish(monkeypatch)
         exceed = _exceedances(replace(fit, statistic=D), boot)
-        assert sorted(finished) == sorted(map(bytes, eta[straddle]))
-        assert exceed == np.sum(_replicate(fit, eta) >= D)
+        assert sorted(map(bytes, np.concatenate(finished))) == sorted(
+            map(bytes, eta[[0, 10, 20]])
+        )
+        assert exceed == np.sum(full >= D)
 
     @pytest.mark.parametrize("law", ["normal", "rademacher", "mammen"])
-    def test_p_value_equals_full_rank_count(self, law):
+    def test_p_value_equals_full_rank_count(self, law, monkeypatch):
         rng = np.random.default_rng(53)
         grid = [
             (sd * rng.standard_normal(T), max_lag)
@@ -359,17 +407,21 @@ class TestEarlyDecision:
             (np.round(rng.standard_normal(300), 1), "full"),
             (generate(bilinear).values, "full"),
         ]
-        early = full_only = 0
+        finished = _spy_finish(monkeypatch)
+        early = finishing = 0
         for i, (values, max_lag) in enumerate(grid):
             values = np.asarray(values, dtype=np.float64)
             boot = BootstrapConfig(n_boot=49, multiplier=law, seed=i)
+            finished.clear()
             out = gs_test(make_series(values), boot, max_lag=max_lag)
             fit = _fit(values, out.max_lag_used)
             exceed = np.sum(_replicate(fit, _draws(boot, len(values))) >= fit.statistic)
             assert out.p_value == (1.0 + exceed) / 50.0
-            early += fit.split < len(fit.spectra)
-            full_only += fit.split == len(fit.spectra)
-        assert early and full_only
+            early += not finished
+            finishing += bool(finished)
+        # both paths ran: some case retired every row early, and some sent
+        # rows to the full-rank finish
+        assert early and finishing
 
 
 class TestGsTest:
@@ -394,39 +446,34 @@ class TestGsTest:
         b = gs_test(s, boot)
         assert a == b
 
-    def test_matches_manual_bootstrap_reconstruction(self):
+    def test_matches_manual_bootstrap_reconstruction(self, monkeypatch):
         cases = [
             (random_series_values(np.random.default_rng(36), 50), 23),
-            # percent scale: the bracket decides most replications and
-            # leaves one to the full-rank pass
+            # percent scale: the rotated columns retire every replication
+            # before the full-rank finish
             (100.0 * random_series_values(np.random.default_rng(16), 300), 39),
         ]
+        finished = _spy_finish(monkeypatch)
         for values, n_boot in cases:
             T = len(values)
             s = make_series(values)
             boot = BootstrapConfig(n_boot=n_boot, multiplier="normal", seed=11)
+            finished.clear()
             out = gs_test(s, boot)
             fit = _fit(values, T - 1)
             statistic = fit.statistic
             exceed = 0
-            undecided = 0
             for j in range(boot.n_boot):
                 rng = substream(boot.seed, GS_DOMAIN, j)
                 eta = draw_multipliers(rng, boot.multiplier, T)
                 exceed += _replicate(fit, eta[None, :])[0] >= statistic
-                low, high = _bracket(fit, eta[None, :])
-                undecided += bool(low[0] <= statistic <= high[0])
             assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
             assert out.statistic == statistic
             assert out.n_boot == n_boot
-        # the last case took the early path and left a row undecided
-        assert fit.split < len(fit.spectra)
-        assert undecided >= 1
+        assert len(fit.spectra) > 20 and not finished
 
     def test_one_draw_per_replication(self, monkeypatch):
-        # the benchmark's tracer counts these calls through gs's globals;
-        # this series leaves one replication to the full-rank pass, which
-        # must reuse its multipliers rather than draw them again
+        # the benchmark's tracer counts these calls through gs's globals
         streams, draws = [], []
 
         def counted(calls, fn):

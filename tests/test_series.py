@@ -21,7 +21,7 @@ from mdhtest import (
     truncation_bound,
     variance_ratio,
 )
-from mdhtest.series import _DIRECT_ACV_LIMIT, _fast_len
+from mdhtest.series import _DIRECT_ACV_LIMIT, _demeaned, _fast_len
 from conftest import make_series
 from reference import ref_autocorr, ref_jarque_bera
 
@@ -208,6 +208,16 @@ class TestAutocorrelations:
         with pytest.raises(ValueError) as exc:
             autocorrelations([])
         assert str(exc.value) == "need at least 2 observations, got 0"
+
+    def test_centering_is_values_minus_mean_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for T in (2, 3, 7, 250, 599, 601, 4097, 20_000):
+            for scale in (1e-3, 1.0, 1e3):
+                for offset in (0.0, 100.0, -1e6):
+                    values = offset + scale * rng.standard_normal(T)
+                    d, den = _demeaned(values)
+                    assert np.array_equal(d, values - values.mean())
+                    assert den == float(d @ d)
 
     def test_fast_len_matches_scipy_next_fast_len(self):
         # the FFT path's padded length: the least 5-smooth n' >= n
