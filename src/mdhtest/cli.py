@@ -1,10 +1,10 @@
 """Command-line interface: describe, avr, gs, roll, simulate.
 
 Machine-readable results go to stdout (or --out atomically); progress and
-human-readable summaries go to stderr. All floating-point output uses 17
-significant digits so every emitted number round-trips exactly. Runs with
-the same flags and seed produce byte-identical output regardless of
-roll --workers.
+human-readable summaries go to stderr. Every float in the JSON and CSV
+results uses 17 significant digits, so it round-trips exactly; the
+describe table is rounded to 6 significant digits. Runs with the same
+flags and seed produce byte-identical output regardless of roll --workers.
 """
 
 from __future__ import annotations

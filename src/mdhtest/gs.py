@@ -100,9 +100,13 @@ the full-rank finish.
 
 A block holds as many rows as fit _BLOCK_BYTES at about 64 * nfft bytes
 a row: the multipliers, their spectra, one column's products and
-correlations, and the per-lag means. The full-rank finish reuses the
-block's workspace, sized for max(rows, K) (row, column) pairs, so working
-memory is O(_BLOCK_BYTES + K * T).
+correlations, and the per-lag means. The column loop's buffers hold one
+column of a block's rows and are allocated once per test. The fit keeps
+one copy of the unrotated factor L. The full-rank finish derives L's
+spectra and prefix sums from it and takes the open rows in chunks of
+rows // K (at least one), in fresh arrays of about one block's bytes, or
+of one row's K columns when K exceeds the block's rows. Working memory is
+O(_BLOCK_BYTES + K * T).
 """
 
 from __future__ import annotations
@@ -162,10 +166,9 @@ class _Fit:
     counts: np.ndarray  # (J,) residuals per lag, T - j
     trace: float  # tr(R), the factor's residual trace
     z: np.ndarray  # (T,) data minus its mean
-    spectra: np.ndarray  # (K, nfft//2 + 1) conjugate spectra of L's columns
-    prefix: np.ndarray  # (K, J) column sums over the first T - j rows
-    rotated: np.ndarray  # (K, nfft//2 + 1) the same for the rotated factor L V
-    rotated_prefix: np.ndarray  # (K, J) the same as prefix, for L V
+    factor: np.ndarray  # (K, T - 1) L' by rows, the pivoted factor
+    rotated: np.ndarray  # (K, nfft//2 + 1) conjugate spectra of L V's columns
+    rotated_prefix: np.ndarray  # (K, J) L V's column sums over the first T - j rows
     tail: np.ndarray  # (K + 1,) squared Frobenius norm of L V's columns k..K-1
     spread: np.ndarray  # (T,) v_t = sum_{j <= t} gamma_j (z_t - shift_j)^2
 
@@ -215,7 +218,6 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
     anchor = np.expm1(-0.5 * (x - x[np.argmin(np.abs(x - x.mean()))]) ** 2)
     resid = -2.0 * anchor  # diagonal of the anchored matrix minus L L'
     rows = np.empty((min(N, 32), N))  # L' by rows; doubles when full
-    spectra, prefix = [], []
     sums = np.zeros(J)  # sum_k u_jk^2 per lag
     lower = 0.0  # the factored statistic so far, a lower bound on D^2
     K = 0
@@ -240,14 +242,13 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         u = np.fft.irfft(spec * z_spec, nfft)[1 : J + 1] - shift * pre
         sums += u * u
         lower = float(weight @ sums)
-        spectra.append(spec)
-        prefix.append(pre)
     terms = weight * sums
     statistic = math.fsum(terms)
     error_bound = trace * budget
     # (L V)' by rows, V the eigenvectors of L'L by falling eigenvalue
     # (module docstring); a real product, then one FFT per rotated column
-    turned = np.linalg.eigh(rows[:K] @ rows[:K].T)[1][:, ::-1].T @ rows[:K]
+    factor = rows[:K]
+    turned = np.linalg.eigh(factor @ factor.T)[1][:, ::-1].T @ factor
     tail = np.cumsum(np.einsum("kt,kt->k", turned, turned)[::-1])[::-1]
     # prefix sums over lags j <= t of gamma_j, gamma_j shift_j, gamma_j shift_j^2
     g = np.cumsum([weight, weight * shift, weight * shift**2], axis=1)
@@ -262,8 +263,7 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
         shift=shift,
         counts=counts,
         z=z,
-        spectra=np.array(spectra).reshape(K, nfft // 2 + 1),
-        prefix=np.array(prefix).reshape(K, J),
+        factor=factor,
         rotated=np.conj(np.fft.rfft(turned, nfft)),
         rotated_prefix=np.cumsum(turned, axis=1)[:, N - lags],
         tail=np.append(tail, 0.0),
@@ -298,52 +298,25 @@ def truncation_bound(series: ReturnSeries, max_lag) -> float:
     return (math.fsum(fit.terms[J:]) + unfactored) * (1.0 + _TRUNCATION_SLACK)
 
 
-def _workspace(fit: _Fit, slots: int) -> tuple:
-    """Flat product, correlation and lift buffers for ``slots`` (row, column) pairs.
-
-    The column loop fills them with one column of up to ``slots`` rows, the
-    full-rank finish with all K columns of ``slots // K`` rows. One
-    workspace serves every block of a test. The first two buffers exceed
-    glibc's default mmap threshold (128 KiB) from T ~ 250, so a fresh
-    allocation per block is unmapped on free and page-faulted back in on
-    the next: at T = 250, B = 199 a test took about 18 000 minor page
-    faults that way, against about 180 with one workspace.
-    """
-    J = len(fit.weight)
-    return (
-        np.empty(2 * slots * (fit.nfft // 2 + 1), dtype=complex),
-        np.empty(2 * slots * fit.nfft),
-        np.empty(slots * J),
-    )
-
-
-def _replicate(fit: _Fit, eta: np.ndarray, work: tuple | None = None) -> np.ndarray:
+def _replicate(fit: _Fit, eta: np.ndarray) -> np.ndarray:
     """Full-rank bootstrap statistics for the multiplier rows of ``eta`` (m x T).
 
     For each lag and column k of the Gram factor, u*_jk = xcorr(L_k,
     eta*z)[j] - shift_j * xcorr(L_k, eta)[j] - mean_j(eta * e^(j)) *
-    prefix_k(T - j). ``work`` is a ``_workspace`` with room for m * K
-    slots; one is allocated when it is omitted.
+    prefix_k(T - j). The columns' spectra and prefix sums are derived from
+    ``fit.factor`` on each call, into fresh arrays of about 2 * m * K * nfft
+    floats.
     """
     J = len(fit.weight)
     m = len(eta)
-    K = len(fit.spectra)
-    bins = fit.nfft // 2 + 1
-    prod, corr, lift = work or _workspace(fit, m * K)
-    prod = prod[: 2 * m * K * bins].reshape(2 * m, K, bins)
-    corr = corr[: 2 * m * K * fit.nfft].reshape(2 * m, K, fit.nfft)
-    lift = lift[: m * K * J].reshape(m, K, J)
+    spectra = np.conj(np.fft.rfft(fit.factor, fit.nfft))
+    prefix = np.cumsum(fit.factor, axis=1)[:, fit.counts - 1]
     inputs = np.concatenate([eta * fit.z, eta])
     spec = np.fft.rfft(inputs, fit.nfft)
-    np.multiply(spec[:, None, :], fit.spectra, out=prod)
-    np.fft.irfft(prod, fit.nfft, out=corr)
-    u, rest = corr[:m, :, 1 : J + 1], corr[m:, :, 1 : J + 1]
+    corr = np.fft.irfft(spec[:, None, :] * spectra, fit.nfft)[..., 1 : J + 1]
     tails = _suffix_sums(inputs, J)
     mean = (tails[:m] - fit.shift * tails[m:]) / fit.counts
-    np.multiply(mean[:, None, :], fit.prefix, out=lift)
-    rest *= fit.shift
-    rest += lift
-    u -= rest
+    u = corr[:m] - (corr[m:] * fit.shift + mean[:, None, :] * prefix)
     # a row-wise reduction, not a matrix product: each replication's sum
     # must not depend on how many others share its batch
     return (np.einsum("bkj,bkj->bj", u, u) * fit.weight).sum(axis=1)
@@ -360,7 +333,7 @@ def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> tup
     (module docstring). Returns the number of rows decided at or above
     D^2, and the indices of the rows still open after the last column.
     """
-    K, J = fit.prefix.shape
+    K, J = fit.rotated_prefix.shape
     D = fit.statistic
     nfft = fit.nfft
     bins = nfft // 2 + 1
@@ -409,15 +382,21 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``, derived in
     bulk by ``_substreams``. Blocks of replications go through ``_retire``,
     and the rows it leaves open are evaluated at full rank by
-    ``_replicate``. Every buffer is allocated once per test.
+    ``_replicate``. The column loop's buffers are allocated once per test.
     """
     T = len(fit.z)
-    K = len(fit.spectra)
+    K, J = fit.rotated_prefix.shape
     m = min(boot.n_boot, max(1, _BLOCK_BYTES // (64 * fit.nfft)))
-    finish = max(1, m // K) if K else m  # full-rank rows that fit the workspace
-    work = _workspace(fit, max(m, K))
+    finish = max(1, m // max(K, 1))  # full-rank rows of about one block
+    bins = fit.nfft // 2 + 1
+    # the column loop's product, correlation and lift buffers, for m rows.
+    # The first two exceed glibc's default mmap threshold (128 KiB) from
+    # T ~ 250, so a fresh allocation per block is unmapped on free and
+    # page-faulted back in on the next: at T = 250, B = 199 a test took
+    # about 18 000 minor page faults that way, against about 180 with one set
+    work = np.empty(2 * m * bins, complex), np.empty(2 * m * fit.nfft), np.empty(m * J)
     inputs = np.empty((2, m, T))
-    spectra = np.empty((2, m, fit.nfft // 2 + 1), dtype=complex)
+    spectra = np.empty((2, m, bins), dtype=complex)
     exceed = 0
     streams = _substreams(boot.seed, GS_DOMAIN, 0, boot.n_boot)
     for start in range(0, boot.n_boot, m):
@@ -428,7 +407,7 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
         exceed += above
         eta = inputs[1, rows]
         for i in range(0, len(eta), finish):
-            full = _replicate(fit, eta[i : i + finish], work)
+            full = _replicate(fit, eta[i : i + finish])
             exceed += int(np.sum(full >= fit.statistic))
     return exceed
 
@@ -454,5 +433,5 @@ def gs_test(
         n_boot=boot.n_boot,
         max_lag_used=J,
         error_bound=fit.error_bound,
-        rank=len(fit.spectra),
+        rank=len(fit.factor),
     )

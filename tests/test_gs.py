@@ -288,9 +288,9 @@ def _spy_finish(monkeypatch):
     """The multiplier blocks that reach gs's full-rank finish, as a list."""
     finished = []
 
-    def spy(fit, rows, work=None):
+    def spy(fit, rows):
         finished.append(rows.copy())
-        return _replicate(fit, rows, work)
+        return _replicate(fit, rows)
 
     monkeypatch.setattr(gs, "_replicate", spy)
     return finished
@@ -325,7 +325,7 @@ class TestEarlyDecision:
         values = make(np.random.default_rng(51))
         T = len(values)
         fit = _fit(values, T - 1)
-        K = len(fit.spectra)
+        K = len(fit.factor)
         eta = _draws(BootstrapConfig(n_boot=200, seed=3), T)
         full = _replicate(fit, eta)
         turned = self._turned(fit)
@@ -367,6 +367,24 @@ class TestEarlyDecision:
         # up to the rounding of the largest
         energy = np.einsum("kt,kt->k", turned, turned)
         assert np.all(energy[1:] <= energy[:-1] + 1e-12 * energy[:1])
+
+    @REGIMES
+    def test_finish_reads_the_unrotated_factor(self, make):
+        # the full-rank finish must read the factor the statistic was summed
+        # from: each lag's terms, rebuilt from fit.factor column by column in
+        # the pivot loop's order, equal fit.terms bit for bit
+        values = make(np.random.default_rng(51))
+        T = len(values)
+        fit = _fit(values, T - 1)
+        J = len(fit.weight)
+        z_spec = np.fft.rfft(fit.z, fit.nfft)
+        sums = np.zeros(J)
+        for col in fit.factor:
+            spec = np.conj(np.fft.rfft(col, fit.nfft))
+            prefix = np.cumsum(col)[fit.counts - 1]
+            u = np.fft.irfft(spec * z_spec, fit.nfft)[1 : J + 1] - fit.shift * prefix
+            sums += u * u
+        assert np.array_equal(fit.weight * sums, fit.terms)
 
     def test_straddling_rows_finish_at_full_rank(self, monkeypatch):
         values = random_series_values(np.random.default_rng(52), 300) * 100.0
@@ -470,7 +488,7 @@ class TestGsTest:
             assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
             assert out.statistic == statistic
             assert out.n_boot == n_boot
-        assert len(fit.spectra) > 20 and not finished
+        assert len(fit.factor) > 20 and not finished
 
     def test_one_draw_per_replication(self, monkeypatch):
         # the benchmark's tracer counts these calls through gs's globals
@@ -505,6 +523,29 @@ class TestGsTest:
             out = gs_test(s, BootstrapConfig(n_boot=300, seed=i))
             rejections += out.p_value < 0.05
         assert 0.025 <= rejections / M <= 0.08
+
+    @pytest.mark.parametrize(
+        "T, sd", [(520, 1.0), (2000, 5.0), (6000, 1.5)], ids=["520", "2000sd5", "6000"]
+    )
+    def test_memory_within_block_plus_factor(self, T, sd):
+        # working memory is O(_BLOCK_BYTES + K * T) (module docstring): the
+        # bootstrap's buffers, plus arrays of T values for each factor
+        # column and a few more. The constants are measured, with 1.34x
+        # headroom or more on every case here; at T = 2000, sd 5 (K = 86)
+        # and T = 6000, sd 1.5 (K = 36) a second copy of the factor's
+        # spectra and a finish workspace of K rows would exceed the bound
+        blocks = 2  # bootstrap blocks' worth of buffers
+        column_bytes = 56  # bytes per factor column and observation
+        extra_columns = 20  # the O(T) arrays of the fit, in columns
+        values = sd * np.random.default_rng(T).standard_normal(T)
+        tracemalloc.start()
+        try:
+            out = gs_test(make_series(values), BootstrapConfig(n_boot=19, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        K = out.rank
+        assert peak < blocks * gs._BLOCK_BYTES + column_bytes * (K + extra_columns) * T
 
     def test_long_series_bounded_memory(self):
         # a T x T matrix at T = 10 000 would alone take 800 MB
