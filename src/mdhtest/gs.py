@@ -98,21 +98,31 @@ bounds. On the benchmark's percent-scale series (T = 250, K 16 to 24) a
 replication leaves after 0.24 * K columns on average, and none reaches
 the full-rank finish.
 
-A block holds as many rows as fit _BLOCK_BYTES at about 64 * nfft bytes
-a row: the multipliers, their spectra, one column's products and
-correlations, and the per-lag means. The column loop's buffers hold one
-column of a block's rows and are allocated once per test. The fit keeps
-one copy of the unrotated factor L. The full-rank finish derives L's
-spectra and prefix sums from it and takes the open rows in chunks of
-rows // K (at least one), in fresh arrays of about one block's bytes, or
-of one row's K columns when K exceeds the block's rows. Working memory is
-O(_BLOCK_BYTES + K * T).
+A block holds as many rows as fit _BLOCK_BYTES at 64 * nfft bytes a row.
+A row needs the multipliers and eta * z (8 * nfft bytes), their spectra
+(16), one column's products (16) and correlations (16) and the per-lag
+means (at most 4): about 60 * nfft. Nothing else of a row's size is held:
+the suffix sums and eta^2 are computed into the correlation buffer before
+the column loop needs it, and the per-lag means into eta * z's rows once
+their spectrum is taken. The buffers are allocated flat once per test, and
+each block, a short last one too, uses their leading part contiguously.
+Every column step makes the same run of small numpy calls however few
+rows it carries, and they hold the GIL while the FFTs release it, so
+blocks of 1.5 MiB (22 rows at T = 520) let a second ``roll`` worker run
+in parallel: smaller blocks left it mostly waiting, and 2 MiB ran little
+faster but raised rolling GS's peak RSS by over 5%. The fit keeps one copy
+of the unrotated factor L. The full-rank finish derives L's spectra and
+prefix sums once per test, when a first row reaches it, and takes the
+open rows in chunks of rows // K (at least one), in fresh arrays of about
+one block's bytes, or of one row's K columns when K exceeds the block's
+rows. Working memory is O(_BLOCK_BYTES + K * T).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,11 +139,13 @@ _SLACK = 1e-9
 # Roundoff allowance of truncation_bound, relative to the bound (module
 # docstring).
 _TRUNCATION_SLACK = 1e-11
-# Bytes of a bootstrap block's buffers, which sets its rows (module
-# docstring). Every column step pays the same fixed run of numpy calls
-# however few rows it carries, so small blocks cost time; large ones cost
-# memory, and gain nothing once the buffers outgrow the cache.
-_BLOCK_BYTES = 640 * 1024
+# Bytes of a bootstrap block's buffers, at 64 * nfft a row for the 60 they
+# take (module docstring). Every column step pays the same fixed run of
+# numpy calls however few rows it carries, so small blocks cost time and
+# idle a second thread; large ones cost memory. Rolling GS at T ~ 520 runs
+# fastest on two threads at this size of those that raise its peak RSS by
+# under 4% over 640 KiB blocks; 2 MiB raised it by 6%.
+_BLOCK_BYTES = 1536 * 1024
 
 
 @dataclass(frozen=True)
@@ -172,6 +184,13 @@ class _Fit:
     tail: np.ndarray  # (K + 1,) squared Frobenius norm of L V's columns k..K-1
     spread: np.ndarray  # (T,) v_t = sum_{j <= t} gamma_j (z_t - shift_j)^2
 
+    @cached_property
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """L's conjugate column spectra (K, nfft//2 + 1) and prefix sums (K, J),
+        derived on the first full-rank finish and kept for the test's others."""
+        spectra = np.conj(np.fft.rfft(self.factor, self.nfft))
+        return spectra, np.cumsum(self.factor, axis=1)[:, self.counts - 1]
+
 
 def gram_matrix(series: ReturnSeries) -> np.ndarray:
     """T x T matrix of exp(-0.5 * (Y_a - Y_b)^2); symmetric, unit diagonal, PSD."""
@@ -194,9 +213,10 @@ def _lagged(series: ReturnSeries, max_lag) -> tuple[np.ndarray, int]:
     return values, _count(max_lag, "max_lag", 1, T - 1)
 
 
-def _suffix_sums(a: np.ndarray, J: int) -> np.ndarray:
-    """sum_{t >= j} a[..., t] for j = 1..J."""
-    return np.cumsum(a[..., ::-1], axis=-1)[..., ::-1][..., 1 : J + 1]
+def _suffix_sums(a: np.ndarray, J: int, out=None) -> np.ndarray:
+    """sum_{t >= j} a[..., t] for j = 1..J, summed into ``out`` if given
+    (the shape of a[..., 1:])."""
+    return np.cumsum(a[..., :0:-1], axis=-1, out=out)[..., ::-1][..., :J]
 
 
 def _fit(values: np.ndarray, J: int) -> _Fit:
@@ -303,14 +323,13 @@ def _replicate(fit: _Fit, eta: np.ndarray) -> np.ndarray:
 
     For each lag and column k of the Gram factor, u*_jk = xcorr(L_k,
     eta*z)[j] - shift_j * xcorr(L_k, eta)[j] - mean_j(eta * e^(j)) *
-    prefix_k(T - j). The columns' spectra and prefix sums are derived from
-    ``fit.factor`` on each call, into fresh arrays of about 2 * m * K * nfft
-    floats.
+    prefix_k(T - j). The columns' spectra and prefix sums are ``fit.finish``,
+    derived once per test; each call computes into fresh arrays of about
+    2 * m * K * nfft floats.
     """
     J = len(fit.weight)
     m = len(eta)
-    spectra = np.conj(np.fft.rfft(fit.factor, fit.nfft))
-    prefix = np.cumsum(fit.factor, axis=1)[:, fit.counts - 1]
+    spectra, prefix = fit.finish
     inputs = np.concatenate([eta * fit.z, eta])
     spec = np.fft.rfft(inputs, fit.nfft)
     corr = np.fft.irfft(spec[:, None, :] * spectra, fit.nfft)[..., 1 : J + 1]
@@ -326,26 +345,33 @@ def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> tup
     """Decide a block's rows over the rotated columns, one column at a time.
 
     ``inputs`` is (2, n, T) with the block's multipliers in ``inputs[1]``;
-    ``inputs[0]`` receives eta * z and ``spec`` (2, n, nfft//2 + 1) the
-    spectra of both. After column k a row's value over the first k + 1
-    columns, ``low``, brackets its full-rank value with ``low + tail[k + 1]
-    * sum_t eta_t^2 v_t``; a row leaves once the bracket lies clear of D^2
-    (module docstring). Returns the number of rows decided at or above
-    D^2, and the indices of the rows still open after the last column.
+    ``inputs[0]`` receives eta * z, then the per-lag means, and ``spec``
+    (2, n, nfft//2 + 1) the spectra of both. After column k a row's value
+    over the first k + 1 columns, ``low``, brackets its full-rank value with
+    ``low + tail[k + 1] * sum_t eta_t^2 v_t``; a row leaves once the bracket
+    lies clear of D^2 (module docstring). Returns the number of rows decided
+    at or above D^2, and the indices of the rows still open after the last
+    column.
     """
     K, J = fit.rotated_prefix.shape
     D = fit.statistic
     nfft = fit.nfft
     bins = nfft // 2 + 1
+    _, n, T = inputs.shape
     prod, corr, lift = work
     eta = inputs[1]
     np.multiply(eta, fit.z, out=inputs[0])
     np.fft.rfft(inputs, nfft, out=spec)
-    tails = _suffix_sums(inputs, J)
-    mean = (tails[0] - fit.shift * tails[1]) / fit.counts
-    energy = (eta * eta) @ fit.spread
-    rows = np.arange(len(eta))  # the open rows
-    low = np.zeros(len(eta))  # their values over the columns so far
+    # before the column loop, its correlation buffer holds the suffix sums,
+    # then eta^2; eta * z's rows, their spectrum taken, hold the per-lag means
+    tails = _suffix_sums(inputs, J, out=corr[: 2 * n * (T - 1)].reshape(2, n, T - 1))
+    mean = inputs[0].reshape(-1)[: n * J].reshape(n, J)
+    np.multiply(fit.shift, tails[1], out=mean)
+    np.subtract(tails[0], mean, out=mean)
+    mean /= fit.counts
+    energy = np.multiply(eta, eta, out=corr[: n * T].reshape(n, T)) @ fit.spread
+    rows = np.arange(n)  # the open rows
+    low = np.zeros(n)  # their values over the columns so far
     above = 0
     for k in range(K):
         n = len(rows)
@@ -382,7 +408,9 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``, derived in
     bulk by ``_substreams``. Blocks of replications go through ``_retire``,
     and the rows it leaves open are evaluated at full rank by
-    ``_replicate``. The column loop's buffers are allocated once per test.
+    ``_replicate``. The block's buffers are allocated once per test, flat,
+    and each block takes their leading part, so a short last block is
+    contiguous too.
     """
     T = len(fit.z)
     K, J = fit.rotated_prefix.shape
@@ -395,17 +423,19 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     # page-faulted back in on the next: at T = 250, B = 199 a test took
     # about 18 000 minor page faults that way, against about 180 with one set
     work = np.empty(2 * m * bins, complex), np.empty(2 * m * fit.nfft), np.empty(m * J)
-    inputs = np.empty((2, m, T))
-    spectra = np.empty((2, m, bins), dtype=complex)
+    inputs = np.empty(2 * m * T)
+    spectra = np.empty(2 * m * bins, dtype=complex)
     exceed = 0
     streams = _substreams(boot.seed, GS_DOMAIN, 0, boot.n_boot)
     for start in range(0, boot.n_boot, m):
         n = min(m, boot.n_boot - start)
-        for row, rng in zip(inputs[1, :n], streams):
+        block = inputs[: 2 * n * T].reshape(2, n, T)
+        for row, rng in zip(block[1], streams):
             row[:] = draw_multipliers(rng, boot.multiplier, T)
-        above, rows = _retire(fit, inputs[:, :n], spectra[:, :n], work)
+        spec = spectra[: 2 * n * bins].reshape(2, n, bins)
+        above, rows = _retire(fit, block, spec, work)
         exceed += above
-        eta = inputs[1, rows]
+        eta = block[1, rows]
         for i in range(0, len(eta), finish):
             full = _replicate(fit, eta[i : i + finish])
             exceed += int(np.sum(full >= fit.statistic))

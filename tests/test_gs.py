@@ -441,6 +441,55 @@ class TestEarlyDecision:
         # rows to the full-rank finish
         assert early and finishing
 
+    @pytest.mark.parametrize("law", ["normal", "rademacher", "mammen"])
+    def test_outcome_independent_of_block_size(self, law, monkeypatch):
+        # each row's decision is certified and the exceedance count is a sum
+        # of integers, so blocks of one row, of the default size and of every
+        # row give the same outcome. At T = 300 the default blocks end on a
+        # short one
+        finished = _spy_finish(monkeypatch)
+        boot = BootstrapConfig(n_boot=99, multiplier=law, seed=8)
+        default = gs._BLOCK_BYTES
+        for make in self.REGIMES.args[1]:
+            series = make_series(make(np.random.default_rng(51)))
+            nfft = _fit(series.values, len(series.values) - 1).nfft
+            rows = default // (64 * nfft)
+            assert rows >= boot.n_boot or boot.n_boot % rows
+            outcomes = []
+            for size in (1, default, boot.n_boot * 64 * nfft):
+                monkeypatch.setattr(gs, "_BLOCK_BYTES", size)
+                outcomes.append(gs_test(series, boot))
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+        # rank 0 sends every row to the full-rank finish
+        assert finished
+
+    def test_finish_derives_the_factor_spectra_once(self, monkeypatch):
+        # with every row forced to the full-rank finish, the rows arrive in
+        # several chunks, and the unrotated factor's spectra are taken once
+        # for all of them
+        values = random_series_values(np.random.default_rng(54), 300) * 100.0
+        series = make_series(values)
+        boot = BootstrapConfig(n_boot=19, seed=6)
+        expected = gs_test(series, boot)
+        fits, transformed = [], []
+        rfft = np.fft.rfft
+
+        def fit_spy(values, J):
+            fits.append(_fit(values, J))
+            return fits[-1]
+
+        def rfft_spy(a, *args, **kwargs):
+            transformed.append(a)
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(gs, "_fit", fit_spy)
+        monkeypatch.setattr(np.fft, "rfft", rfft_spy)
+        monkeypatch.setattr(gs, "_SLACK", np.inf)
+        finished = _spy_finish(monkeypatch)
+        assert gs_test(series, boot) == expected
+        assert len(finished) > 1
+        assert sum(a is fits[0].factor for a in transformed) == 1
+
 
 class TestGsTest:
     def test_statistic_bit_identical_to_standalone(self):
@@ -546,6 +595,25 @@ class TestGsTest:
             tracemalloc.stop()
         K = out.rank
         assert peak < blocks * gs._BLOCK_BYTES + column_bytes * (K + extra_columns) * T
+
+    @pytest.mark.parametrize("T", [250, 520, 2000])
+    def test_block_row_within_sized_bytes(self, T, monkeypatch):
+        # blocks are sized at 64 * nfft bytes a row (module docstring): the
+        # traced peak may grow by no more than that for each row a block
+        # gains. Blocks of 30 and 60 rows over 199 replications, so the last
+        # block is short in both
+        series = make_series(np.random.default_rng(T).standard_normal(T))
+        nfft = _fit(series.values, T - 1).nfft
+        peaks = []
+        for rows in (30, 60):
+            monkeypatch.setattr(gs, "_BLOCK_BYTES", rows * 64 * nfft)
+            tracemalloc.start()
+            try:
+                gs_test(series, BootstrapConfig(n_boot=199, seed=5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 30 <= 64 * nfft
 
     def test_long_series_bounded_memory(self):
         # a T x T matrix at T = 10 000 would alone take 800 MB
