@@ -111,11 +111,13 @@ rows it carries, and they hold the GIL while the FFTs release it, so
 blocks of 1.5 MiB (22 rows at T = 520) let a second ``roll`` worker run
 in parallel: smaller blocks left it mostly waiting, and 2 MiB ran little
 faster but raised rolling GS's peak RSS by over 5%. The fit keeps one copy
-of the unrotated factor L. The full-rank finish derives L's spectra and
-prefix sums once per test, when a first row reaches it, and takes the
-open rows in chunks of rows // K (at least one), in fresh arrays of about
-one block's bytes, or of one row's K columns when K exceeds the block's
-rows. Working memory is O(_BLOCK_BYTES + K * T).
+of the unrotated factor L. The full-rank finish reads the open rows'
+spectra and per-lag means from the block, so a block's multipliers are
+prepared once, and derives L's spectra and prefix sums once per test, when
+a first row reaches it. It takes the open rows in chunks of rows // K (at
+least one), whose products and correlations fill fresh arrays of about one
+block's bytes, or of one row's K columns when K exceeds the block's rows.
+Working memory is O(_BLOCK_BYTES + K * T).
 """
 
 from __future__ import annotations
@@ -318,40 +320,38 @@ def truncation_bound(series: ReturnSeries, max_lag) -> float:
     return (math.fsum(fit.terms[J:]) + unfactored) * (1.0 + _TRUNCATION_SLACK)
 
 
-def _replicate(fit: _Fit, eta: np.ndarray) -> np.ndarray:
-    """Full-rank bootstrap statistics for the multiplier rows of ``eta`` (m x T).
+def _replicate(fit: _Fit, spec: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Full-rank bootstrap statistics of m rows from their prepared pieces.
 
-    For each lag and column k of the Gram factor, u*_jk = xcorr(L_k,
-    eta*z)[j] - shift_j * xcorr(L_k, eta)[j] - mean_j(eta * e^(j)) *
+    ``spec`` (2, m, nfft//2 + 1) holds the spectra of eta * z and eta, and
+    ``mean`` (m, J) the per-lag means mean_j(eta * e^(j)), as ``_retire``
+    prepares them. For each lag and column k of the Gram factor, u*_jk =
+    xcorr(L_k, eta*z)[j] - shift_j * xcorr(L_k, eta)[j] - mean_j *
     prefix_k(T - j). The columns' spectra and prefix sums are ``fit.finish``,
-    derived once per test; each call computes into fresh arrays of about
-    2 * m * K * nfft floats.
+    derived once per test; the products and correlations fill fresh arrays
+    of about 2 * m * K * nfft floats.
     """
     J = len(fit.weight)
-    m = len(eta)
     spectra, prefix = fit.finish
-    inputs = np.concatenate([eta * fit.z, eta])
-    spec = np.fft.rfft(inputs, fit.nfft)
-    corr = np.fft.irfft(spec[:, None, :] * spectra, fit.nfft)[..., 1 : J + 1]
-    tails = _suffix_sums(inputs, J)
-    mean = (tails[:m] - fit.shift * tails[m:]) / fit.counts
-    u = corr[:m] - (corr[m:] * fit.shift + mean[:, None, :] * prefix)
+    corr = np.fft.irfft(spec[:, :, None, :] * spectra, fit.nfft)[..., 1 : J + 1]
+    u = corr[0] - (corr[1] * fit.shift + mean[:, None, :] * prefix)
     # a row-wise reduction, not a matrix product: each replication's sum
     # must not depend on how many others share its batch
     return (np.einsum("bkj,bkj->bj", u, u) * fit.weight).sum(axis=1)
 
 
-def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> tuple:
-    """Decide a block's rows over the rotated columns, one column at a time.
+def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> int:
+    """The number of a block's rows whose bootstrap statistic reaches D^2.
 
     ``inputs`` is (2, n, T) with the block's multipliers in ``inputs[1]``;
     ``inputs[0]`` receives eta * z, then the per-lag means, and ``spec``
-    (2, n, nfft//2 + 1) the spectra of both. After column k a row's value
-    over the first k + 1 columns, ``low``, brackets its full-rank value with
-    ``low + tail[k + 1] * sum_t eta_t^2 v_t``; a row leaves once the bracket
-    lies clear of D^2 (module docstring). Returns the number of rows decided
-    at or above D^2, and the indices of the rows still open after the last
-    column.
+    (2, n, nfft//2 + 1) the spectra of both. The rows run through the
+    rotated columns one at a time: after column k a row's value over the
+    first k + 1 columns, ``low``, brackets its full-rank value with
+    ``low + tail[k + 1] * sum_t eta_t^2 v_t``, and a row leaves once the
+    bracket lies clear of D^2 (module docstring). Rows still open after the
+    last column go to ``_replicate`` with their spectra and means, in
+    chunks of n // K rows (at least one).
     """
     K, J = fit.rotated_prefix.shape
     D = fit.statistic
@@ -399,23 +399,26 @@ def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> tup
         rows, low = rows[keep], low[keep]
         if not len(rows):
             break
-    return above, rows
+    step = max(1, len(eta) // max(K, 1))  # full-rank rows of about one block
+    for i in range(0, len(rows), step):
+        chunk = rows[i : i + step]
+        full = _replicate(fit, spec[:, chunk], mean[chunk])
+        above += int(np.count_nonzero(full >= D))
+    return above
 
 
 def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     """Bootstrap statistics at or above the observed one.
 
     Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``, derived in
-    bulk by ``_substreams``. Blocks of replications go through ``_retire``,
-    and the rows it leaves open are evaluated at full rank by
-    ``_replicate``. The block's buffers are allocated once per test, flat,
-    and each block takes their leading part, so a short last block is
+    bulk by ``_substreams``, and blocks of replications go through
+    ``_retire``. The block's buffers are allocated once per test, flat, and
+    each block takes their leading part, so a short last block is
     contiguous too.
     """
     T = len(fit.z)
-    K, J = fit.rotated_prefix.shape
+    J = len(fit.weight)
     m = min(boot.n_boot, max(1, _BLOCK_BYTES // (64 * fit.nfft)))
-    finish = max(1, m // max(K, 1))  # full-rank rows of about one block
     bins = fit.nfft // 2 + 1
     # the column loop's product, correlation and lift buffers, for m rows.
     # The first two exceed glibc's default mmap threshold (128 KiB) from
@@ -433,12 +436,7 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
         for row, rng in zip(block[1], streams):
             row[:] = draw_multipliers(rng, boot.multiplier, T)
         spec = spectra[: 2 * n * bins].reshape(2, n, bins)
-        above, rows = _retire(fit, block, spec, work)
-        exceed += above
-        eta = block[1, rows]
-        for i in range(0, len(eta), finish):
-            full = _replicate(fit, eta[i : i + finish])
-            exceed += int(np.sum(full >= fit.statistic))
+        exceed += _retire(fit, block, spec, work)
     return exceed
 
 

@@ -129,6 +129,31 @@ def ref_gs_sum_abs_bound(values, max_lag):
     return bound
 
 
+def ref_full_rank(fit, eta):
+    """Full-rank GS bootstrap statistics of the multiplier rows of ``eta``
+    (m x T), prepared from the multipliers and the fit's unrotated factor.
+
+    For lag j and factor column k, u*_jk = xcorr(L_k, eta*z)[j] - shift_j *
+    xcorr(L_k, eta)[j] - mean_j(eta * e^(j)) * prefix_k(T - j), and a
+    replication is sum_j gamma_j sum_k u*_jk^2. L's spectra and prefix sums
+    are taken from ``fit.factor`` here, not from ``fit.finish``. The FFTs,
+    sums and their order are the package's, so the values match its
+    full-rank finish bit for bit, as exact p-value checks need.
+    """
+    J = len(fit.weight)
+    m = len(eta)
+    spectra = np.conj(np.fft.rfft(fit.factor, fit.nfft))
+    prefix = np.cumsum(fit.factor, axis=1)[:, fit.counts - 1]
+    inputs = np.concatenate([eta * fit.z, eta])
+    spec = np.fft.rfft(inputs, fit.nfft)
+    corr = np.fft.irfft(spec[:, None, :] * spectra, fit.nfft)[..., 1 : J + 1]
+    # sum_{t >= j} of each row, for j = 1..J
+    tails = np.cumsum(inputs[:, :0:-1], axis=1)[:, ::-1][:, :J]
+    mean = (tails[:m] - fit.shift * tails[m:]) / fit.counts
+    u = corr[:m] - (corr[m:] * fit.shift + mean[:, None, :] * prefix)
+    return (np.einsum("bkj,bkj->bj", u, u) * fit.weight).sum(axis=1)
+
+
 def ref_jarque_bera(values):
     """Population-convention moments: divide-by-T variance, raw kurtosis."""
     T = len(values)

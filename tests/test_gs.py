@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mdhtest import (
     BootstrapConfig,
@@ -21,6 +23,7 @@ from mdhtest.gs import _exceedances, _fit, _replicate
 from conftest import make_series
 from reference import (
     random_series_values,
+    ref_full_rank,
     ref_gs_statistic,
     ref_gs_statistic_expm1,
     ref_gs_sum_abs_bound,
@@ -235,21 +238,22 @@ class TestBootstrapMatrix:
         values = random_series_values(np.random.default_rng(31), 70)
         fit = _fit(values, len(values) - 1)
         ones = np.ones((1, len(values)))
-        assert _replicate(fit, ones)[0] == pytest.approx(fit.statistic, rel=1e-10)
+        assert ref_full_rank(fit, ones)[0] == pytest.approx(fit.statistic, rel=1e-10)
 
     def test_positive_semidefinite(self):
         values = random_series_values(np.random.default_rng(32), 50)
         fit = _fit(values, 49)
         # recover Q by polarization: Q_ab = (r(e_a + e_b) - r(e_a) - r(e_b)) / 2
         eye = np.eye(50)
-        diag = _replicate(fit, eye)
+        diag = ref_full_rank(fit, eye)
         a, b = np.triu_indices(50, 1)
         q = np.diag(diag)
-        q[a, b] = q[b, a] = (_replicate(fit, eye[a] + eye[b]) - diag[a] - diag[b]) / 2
+        pairs = ref_full_rank(fit, eye[a] + eye[b])
+        q[a, b] = q[b, a] = (pairs - diag[a] - diag[b]) / 2
         assert np.linalg.eigvalsh(q).min() >= -1e-8 * np.abs(q).max()
         # every replication is a weighted sum of squares
         eta = np.random.default_rng(0).standard_normal((20, 50))
-        assert np.all(_replicate(fit, eta) >= 0.0)
+        assert np.all(ref_full_rank(fit, eta) >= 0.0)
 
     def test_quadratic_form_matches_direct_recentered_evaluation(self):
         # replication law computed two ways: (a) the batched FFT path,
@@ -271,7 +275,7 @@ class TestBootstrapMatrix:
                 c = c - c.mean()
                 gamma = (T - j) / (j * math.pi) ** 2
                 direct += gamma * float(c @ (w[:n, :n] @ c))
-            got = _replicate(fit, eta[None, :])[0]
+            got = ref_full_rank(fit, eta[None, :])[0]
             assert got == pytest.approx(direct, rel=1e-10)
 
 
@@ -285,12 +289,13 @@ def _draws(boot, T):
 
 
 def _spy_finish(monkeypatch):
-    """The multiplier blocks that reach gs's full-rank finish, as a list."""
+    """The multipliers' spectra that reach gs's full-rank finish, as a list
+    of one (rows, nfft//2 + 1) array per chunk."""
     finished = []
 
-    def spy(fit, rows):
-        finished.append(rows.copy())
-        return _replicate(fit, rows)
+    def spy(fit, spec, mean):
+        finished.append(spec[1].copy())
+        return _replicate(fit, spec, mean)
 
     monkeypatch.setattr(gs, "_replicate", spy)
     return finished
@@ -327,7 +332,7 @@ class TestEarlyDecision:
         fit = _fit(values, T - 1)
         K = len(fit.factor)
         eta = _draws(BootstrapConfig(n_boot=200, seed=3), T)
-        full = _replicate(fit, eta)
+        full = ref_full_rank(fit, eta)
         turned = self._turned(fit)
         # partial[k]: the value over the first k rotated columns, by direct
         # products; norms: sum_j gamma_j |c*_j|^2, c*_j the re-centered
@@ -348,7 +353,8 @@ class TestEarlyDecision:
         # so the upper end the code uses, low + tail[k] * sum_t eta_t^2 v_t,
         # holds too
         assert np.all(norms <= ((eta * eta) @ fit.spread) * tol)
-        # the rotation keeps the quadratic form: all K columns give _replicate's
+        # the rotation keeps the quadratic form: all K columns give the
+        # full-rank value
         assert np.allclose(partial[K], full, rtol=1e-12, atol=0.0)
 
     @REGIMES
@@ -394,8 +400,8 @@ class TestEarlyDecision:
         # -eta gives the same value bit for bit: three rows tie with D, and
         # no column can decide a tie
         eta[[10, 20]] = -eta[0]
-        D = float(_replicate(fit, eta[:1])[0])
-        full = _replicate(fit, eta)
+        D = float(ref_full_rank(fit, eta[:1])[0])
+        full = ref_full_rank(fit, eta)
         assert np.sum(np.abs(full - D) <= 1e-6 * D) == 3
         # one draw per replication: the finish reuses a row's multipliers,
         # and a 201st draw would raise StopIteration
@@ -404,7 +410,7 @@ class TestEarlyDecision:
         finished = _spy_finish(monkeypatch)
         exceed = _exceedances(replace(fit, statistic=D), boot)
         assert sorted(map(bytes, np.concatenate(finished))) == sorted(
-            map(bytes, eta[[0, 10, 20]])
+            map(bytes, np.fft.rfft(eta[[0, 10, 20]], fit.nfft))
         )
         assert exceed == np.sum(full >= D)
 
@@ -433,13 +439,42 @@ class TestEarlyDecision:
             finished.clear()
             out = gs_test(make_series(values), boot, max_lag=max_lag)
             fit = _fit(values, out.max_lag_used)
-            exceed = np.sum(_replicate(fit, _draws(boot, len(values))) >= fit.statistic)
+            full = ref_full_rank(fit, _draws(boot, len(values)))
+            exceed = np.sum(full >= fit.statistic)
             assert out.p_value == (1.0 + exceed) / 50.0
             early += not finished
             finishing += bool(finished)
         # both paths ran: some case retired every row early, and some sent
         # rows to the full-rank finish
         assert early and finishing
+
+    @given(
+        T=st.integers(min_value=2, max_value=120),
+        points=st.one_of(
+            st.none(),  # continuous values, else ties on 2 to 5 points
+            st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5, unique=True),
+        ),
+        u=st.floats(min_value=-4.0, max_value=1.0),
+        offset=st.sampled_from([0.0, 100.0, -100.0, 1e4]),
+        law=st.sampled_from(["normal", "rademacher", "mammen"]),
+        n_boot=st.sampled_from([19, 39]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_p_value_equals_full_rank_count_on_generated_series(
+        self, T, points, u, offset, law, n_boot, seed, data
+    ):
+        draws = st.floats(-3.0, 3.0) if points is None else st.sampled_from(points)
+        raw = data.draw(st.lists(draws, min_size=T, max_size=T))
+        values = offset + 10.0**u * np.array(raw)
+        assume(np.ptp(values) > 0.0)
+        max_lag = data.draw(st.one_of(st.just("full"), st.integers(1, T - 1)))
+        boot = BootstrapConfig(n_boot=n_boot, multiplier=law, seed=seed)
+        out = gs_test(make_series(values), boot, max_lag=max_lag)
+        fit = _fit(values, out.max_lag_used)
+        full = ref_full_rank(fit, _draws(boot, T))
+        assert out.p_value == (1.0 + np.sum(full >= fit.statistic)) / (n_boot + 1.0)
 
     @pytest.mark.parametrize("law", ["normal", "rademacher", "mammen"])
     def test_outcome_independent_of_block_size(self, law, monkeypatch):
@@ -533,7 +568,7 @@ class TestGsTest:
             for j in range(boot.n_boot):
                 rng = substream(boot.seed, GS_DOMAIN, j)
                 eta = draw_multipliers(rng, boot.multiplier, T)
-                exceed += _replicate(fit, eta[None, :])[0] >= statistic
+                exceed += ref_full_rank(fit, eta[None, :])[0] >= statistic
             assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
             assert out.statistic == statistic
             assert out.n_boot == n_boot
