@@ -16,6 +16,8 @@ import sys
 from csv import writer as _csv_writer
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from .avr import avr_test
 from .bootstrap import MULTIPLIERS, BootstrapConfig
 from .dgp import KINDS, DgpSpec, generate
@@ -82,8 +84,8 @@ def _emit_csv(rows, out_path) -> None:
     _emit(buf.getvalue(), out_path)
 
 
-def _load_series(args, frequency="daily"):
-    return equal_weight_series(load_panel(args.input, args.format), frequency)
+def _load_series(args):
+    return equal_weight_series(load_panel(args.input, args.format), "daily")
 
 
 def _boot_config(args) -> BootstrapConfig:
@@ -154,14 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roll", help="rolling-window test over calendar years")
     p.set_defaults(run=_cmd_roll)
     _add_input_args(p)
-    p.add_argument(
-        "--frequency", choices=FREQUENCIES, default="daily",
-        help="input frequency, for the default --window-years (default: daily)",
-    )
     p.add_argument("--test", choices=TESTS, required=True)
     p.add_argument(
         "--window-years", type=int, default=None,
-        help="window width (default: 2 daily / 5 weekly)",
+        help="window width (default: 5 if the median date gap is >= 7 days, else 2)",
     )
     p.add_argument(
         "--step-years", type=int, default=WindowSpec.step_years,
@@ -258,9 +256,16 @@ def _cmd_roll(args) -> int:
     given = {"step_years": args.step_years, "min_observations": args.min_obs}
     if args.window_years is not None:
         given["window_years"] = args.window_years
-    spec = replace(WindowSpec.for_frequency(args.frequency), **given)
+    # a bad value is refused before the input is read
+    replace(WindowSpec.for_frequency("daily"), **given)
     boot = _boot_config(args)
-    series = _load_series(args, args.frequency)
+    series = _load_series(args)
+    # The median date gap is 1 day in daily data, week-long holidays or not,
+    # and 7 in weekly data. Data with two dates a week have gaps that sum to
+    # 7 and a median of at most 6, so they take the daily windows
+    gaps = np.diff(series.dates).astype(int)
+    weekly = len(gaps) > 0 and np.median(gaps) >= 7
+    spec = replace(WindowSpec.for_frequency("weekly" if weekly else "daily"), **given)
     result = run_rolling(series, spec, args.test, boot, workers=workers)
     rows = [_ROLL_COLUMNS]
     n_sig = n_skip = 0

@@ -20,12 +20,15 @@ import numpy as np
 FREQUENCIES = ("daily", "weekly")
 
 # np.correlate (direct MAC loop) up to this length, FFT above. The direct
-# loop costs O(T^2) and the FFT O(T log T). On one thread of a 2-vCPU x86-64
-# VM (numpy 2.4.6), per call: 31 us against 47 us at T = 250, and equal
-# (65 us) at T = 520, where avr_test (B = 199) takes equal time too. Beyond
-# that the FFT wins: in avr_test by 13% at T = 600 and 35% at T = 1000. So
-# the limit sits above the crossover; lowering it moves the last bits of
-# results for T in (520, 600].
+# loop costs O(T^2) and the FFT O(T log T). Timing avr_test (B = 199, GARCH
+# series, 2-vCPU x86-64 VM, numpy 2.4.6) FFT-only against direct-only, two
+# runs of 8 to 12 interleaved rounds: on one thread the FFT is 6-10% slower
+# at T = 364, level near 420 to 450, and 11-12% faster at 520 and 17-19% at
+# 600. But eight tests on two threads, as `roll --workers 2` runs windows,
+# take 33-50% longer on the FFT at T = 520, 36-42% at 600 and 15-19% at
+# 730, and 11% less at 1000. So two-year windows of daily data (about 520
+# observations) stay on the direct loop. Moving the limit moves the last
+# bits of results for the lengths it passes over.
 _DIRECT_ACV_LIMIT = 600
 
 

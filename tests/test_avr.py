@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdhtest import (
@@ -21,7 +21,7 @@ from mdhtest import avr
 from mdhtest.avr import _CHUNK_BYTES, _bandwidth_from_rho1
 from mdhtest.bootstrap import AVR_DOMAIN, _substreams, draw_multipliers, substream
 from mdhtest.series import _DIRECT_ACV_LIMIT, autocorrelations
-from conftest import make_series
+from conftest import generated_values, make_series
 from reference import ref_avr_statistic, ref_qs_kernel, random_series_values
 
 
@@ -128,6 +128,23 @@ class TestVarianceRatio:
             got, _, _ = avr_statistic(make_series(values))
             want, _, _ = ref_avr_statistic(list(values))
             assert got == pytest.approx(want, rel=1e-10)
+
+    @given(values=generated_values(4, 650))
+    @example(values=random_series_values(np.random.default_rng(19), _DIRECT_ACV_LIMIT))
+    @example(
+        values=random_series_values(np.random.default_rng(20), _DIRECT_ACV_LIMIT + 1)
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_matches_brute_force_on_generated_series(self, values):
+        # both sides of the direct/FFT split. The mean is rounded by up to
+        # T eps |offset|, relative to the spread: that, not the method,
+        # bounds how far two correct centrings can differ
+        assume(np.ptp(values) > 0.0)
+        T = len(values)
+        centring = T * 2.0**-52 * abs(float(np.mean(values))) / np.std(values)
+        got = avr_statistic(make_series(values))
+        want = ref_avr_statistic(list(values))
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10 + centring)
 
 
 class TestAvrStatistic:

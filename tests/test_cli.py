@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mdhtest
@@ -15,6 +16,7 @@ from mdhtest import (
 from mdhtest import cli
 from mdhtest.cli import _render_json, main
 from mdhtest.panel import equal_weight_series, load_panel
+from conftest import make_series
 
 
 def run(capsys, argv):
@@ -145,7 +147,7 @@ class TestDefaultsComeFromTheLibrary:
             raise ValueError("recorded")
 
         monkeypatch.setattr(cli, name, record)
-        monkeypatch.setattr(cli, "_load_series", lambda args, frequency="daily": None)
+        monkeypatch.setattr(cli, "_load_series", lambda args: make_series(np.zeros(3)))
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: recorded\n"
         return calls[0]
@@ -382,6 +384,64 @@ class TestRollCommand:
         _, out2, _ = run(capsys, argv + ["--workers", "3"])
         assert out1 == out2
 
+    @staticmethod
+    def _rolls(capsys, path, years, layout="long"):
+        """The first default window's bounds, after checking that the
+        default output is byte-identical to that of ``--window-years years``."""
+        argv = ["roll", path, "--format", layout, "--test", "avr", "--B", "9",
+                "--seed", "2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert run(capsys, argv + ["--window-years", str(years)])[1] == out
+        first = list(csv.reader(io.StringIO(out)))[1]
+        return first[0], first[1]
+
+    @staticmethod
+    def _long_panel(tmp_path, dates_by_instrument):
+        rng = np.random.default_rng(4)
+        lines = ["date,instrument,return"]
+        for name, dates in dates_by_instrument.items():
+            lines += [f"{d},{name},{rng.normal(0, 0.01):.6f}" for d in dates]
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_weekly_dates_take_five_year_windows(self, tmp_path, capsys):
+        path = str(tmp_path / "weekly.csv")
+        main(["simulate", "--kind", "iid_normal", "--length", "600", "--seed", "24",
+              "--frequency", "weekly", "--out", path])
+        capsys.readouterr()
+        assert self._rolls(capsys, path, 5, "wide") == ("2000-01-01", "2004-12-31")
+
+    @pytest.mark.parametrize("weekdays", [(0, 4), (2, 4), (3, 4), (0, 1)])
+    @pytest.mark.parametrize("long_gaps_lead", [False, True])
+    def test_two_dates_a_week_take_two_year_windows(
+        self, tmp_path, capsys, weekdays, long_gaps_lead
+    ):
+        # Gaps alternate between two lengths that sum to 7: 4 and 3 days, 2
+        # and 5, 1 and 6. Starting on the later weekday and ending on the
+        # earlier one leaves the longer gap in the majority, and the median
+        # there, at up to 6 days
+        early, late = weekdays
+        monday = np.datetime64("2001-01-01") + 7 * np.arange(300)
+        cut = int(long_gaps_lead)
+        panel = self._long_panel(tmp_path, {
+            "E": monday[cut:] + early, "L": monday[: len(monday) - cut] + late
+        })
+        assert self._rolls(capsys, panel, 2) == ("2001-01-01", "2002-12-31")
+
+    def test_daily_dates_with_week_long_holidays_take_two_year_windows(
+        self, tmp_path, capsys
+    ):
+        days = np.arange("2000-01-01", "2006-01-01", dtype="datetime64[D]")
+        # the first week of February and of October: no trading
+        month = days.astype("datetime64[M]")
+        first_week = (days - month).astype(int) < 7
+        holidays = first_week & np.isin(month.astype(int) % 12, [1, 9])
+        trading = days[np.is_busday(days) & ~holidays]
+        panel = self._long_panel(tmp_path, {"A": trading})
+        assert self._rolls(capsys, panel, 2) == ("2000-01-01", "2001-12-31")
+
     def test_bad_window_spec_exit_one(self, sim_csv, capsys):
         code, _, err = run(
             capsys,
@@ -412,6 +472,13 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert err == "error: workers must be an integer >= 1, got 0\n"
+
+    def test_zero_window_years_names_the_argument_before_reading_input(self, capsys):
+        argv = ["roll", "no-such-file.csv", "--test", "avr", "--window-years", "0"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: window_years must be an integer >= 1, got 0\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["describe", "no-such-file.csv"])
@@ -459,6 +526,8 @@ class TestErrorHandling:
             (["describe", sim_csv, "--frequency", "weekly"], "unrecognized arguments"),
             (["avr", sim_csv, "--frequency", "weekly"], "unrecognized arguments"),
             (["gs", sim_csv, "--frequency", "weekly"], "unrecognized arguments"),
+            (["roll", sim_csv, "--test", "avr", "--frequency", "weekly"],
+             "unrecognized arguments"),
             (["gs", sim_csv, "--max-lag", "abc"],
              "expected an integer or 'full', got 'abc'"),
         ]:

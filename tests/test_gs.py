@@ -20,7 +20,7 @@ from mdhtest import (
 from mdhtest import gs
 from mdhtest.bootstrap import GS_DOMAIN, _substreams, draw_multipliers, substream
 from mdhtest.gs import _exceedances, _fit, _replicate
-from conftest import make_series
+from conftest import generated_values, make_series
 from reference import (
     random_series_values,
     ref_full_rank,
@@ -163,6 +163,15 @@ class TestTruncationBound:
                 # upper checks allow 1e-12 of the full-lag statistic
                 assert bound <= dropped * (1 + 1e-10) + 1e-12 * full, case
                 assert bound <= ref_gs_sum_abs_bound(values, J) + 1e-12 * full, case
+
+    @given(values=generated_values(3, 120), data=st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_covers_the_oracle_on_generated_series(self, values, data):
+        # the bound carries its own roundoff allowance, _TRUNCATION_SLACK
+        assume(np.ptp(values) > 0.0)
+        J = data.draw(st.integers(1, len(values) - 1))
+        (dropped,) = ref_gs_truncated_masses(list(values), [J])
+        assert dropped <= truncation_bound(make_series(values), J)
 
     def test_covers_what_a_coarse_factor_leaves_out(self, monkeypatch):
         # stop pivoting at 1% certified error: the factored terms alone fall
