@@ -83,20 +83,23 @@ to O(K * 2^-53).
 
 A block of replications runs through the rotated columns one at a time.
 After each column, a row whose bracket lies above or below D^2 by more
-than a slack is decided and leaves the block. Rows still open after the
-last column, where the bracket is one value within the slack of D^2, are
-evaluated on the original K columns and compared with D^2 as before, so
-the exceedance count, and the p-value, equal the full-rank ones exactly.
-The slack is 1e-9 * (D^2 + upper end), and covers roundoff. The rotated
-and the original full-rank values differ by V's departure from
+than a slack is decided and leaves the block. A row still open after the
+last column, where the bracket is one value within the slack of D^2, is a
+tie with D^2 and counts as reaching it, as the add-one rule's D*^2 >= D^2
+intends. The slack is 1e-9 * (D^2 + upper end), and covers roundoff. The
+rotated and the exact full-rank values differ by V's departure from
 orthogonality and by the rounding of their sums of nonnegative terms,
 each sum within (K + J) * 2^-53 relative of its exact value: under 3e-12
 for T up to 1e4. The FFT error in the columns and the rounding of tail
 and v move the upper end by amounts of the same relative size, far below
 both the slack and the excess of the Frobenius bound over the tail it
-bounds. On the benchmark's percent-scale series (T = 250, K 16 to 24) a
-replication leaves after 0.24 * K columns on average, and none reaches
-the full-rank finish.
+bounds. So every exact tie counts, whatever the rounding: Rademacher
+multipliers at small T give them, since a pattern equal to +1 or -1 on
+every residual keeps every quadratic form. A row truly below D^2 by less
+than the slack counts too, so the p-value is conservative by at most
+those rows over B + 1. On the benchmark's percent-scale series (T = 250,
+K 16 to 24) a replication leaves after 0.24 * K columns on average, and
+none stays open after the last column.
 
 A block holds as many rows as fit _BLOCK_BYTES at 64 * nfft bytes a row.
 A row needs the multipliers and eta * z (8 * nfft bytes), their spectra
@@ -111,20 +114,14 @@ rows it carries, and they hold the GIL while the FFTs release it, so
 blocks of 1.5 MiB (22 rows at T = 520) let a second ``roll`` worker run
 in parallel: smaller blocks left it mostly waiting, and 2 MiB ran little
 faster but raised rolling GS's peak RSS by over 5%. The fit keeps one copy
-of the unrotated factor L. The full-rank finish reads the open rows'
-spectra and per-lag means from the block, so a block's multipliers are
-prepared once, and derives L's spectra and prefix sums once per test, when
-a first row reaches it. It takes the open rows in chunks of rows // K (at
-least one), whose products and correlations fill fresh arrays of about one
-block's bytes, or of one row's K columns when K exceeds the block's rows.
-Working memory is O(_BLOCK_BYTES + K * T).
+of the unrotated factor L, whose rows give the rank. Working memory is
+O(_BLOCK_BYTES + K * T).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -136,7 +133,8 @@ from .series import ReturnSeries, _checked, _count, _fast_len
 # Certified error of the Gram factor, relative to the statistic.
 _REL_TOL = 1e-12
 # Roundoff allowance of a bootstrap decision, relative to D^2 plus the
-# row's upper end (module docstring).
+# row's upper end; a row within it of D^2 after the last column is a tie
+# and counts as reaching D^2 (module docstring).
 _SLACK = 1e-9
 # Roundoff allowance of truncation_bound, relative to the bound (module
 # docstring).
@@ -185,13 +183,6 @@ class _Fit:
     rotated_prefix: np.ndarray  # (K, J) L V's column sums over the first T - j rows
     tail: np.ndarray  # (K + 1,) squared Frobenius norm of L V's columns k..K-1
     spread: np.ndarray  # (T,) v_t = sum_{j <= t} gamma_j (z_t - shift_j)^2
-
-    @cached_property
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        """L's conjugate column spectra (K, nfft//2 + 1) and prefix sums (K, J),
-        derived on the first full-rank finish and kept for the test's others."""
-        spectra = np.conj(np.fft.rfft(self.factor, self.nfft))
-        return spectra, np.cumsum(self.factor, axis=1)[:, self.counts - 1]
 
 
 def gram_matrix(series: ReturnSeries) -> np.ndarray:
@@ -320,26 +311,6 @@ def truncation_bound(series: ReturnSeries, max_lag) -> float:
     return (math.fsum(fit.terms[J:]) + unfactored) * (1.0 + _TRUNCATION_SLACK)
 
 
-def _replicate(fit: _Fit, spec: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Full-rank bootstrap statistics of m rows from their prepared pieces.
-
-    ``spec`` (2, m, nfft//2 + 1) holds the spectra of eta * z and eta, and
-    ``mean`` (m, J) the per-lag means mean_j(eta * e^(j)), as ``_retire``
-    prepares them. For each lag and column k of the Gram factor, u*_jk =
-    xcorr(L_k, eta*z)[j] - shift_j * xcorr(L_k, eta)[j] - mean_j *
-    prefix_k(T - j). The columns' spectra and prefix sums are ``fit.finish``,
-    derived once per test; the products and correlations fill fresh arrays
-    of about 2 * m * K * nfft floats.
-    """
-    J = len(fit.weight)
-    spectra, prefix = fit.finish
-    corr = np.fft.irfft(spec[:, :, None, :] * spectra, fit.nfft)[..., 1 : J + 1]
-    u = corr[0] - (corr[1] * fit.shift + mean[:, None, :] * prefix)
-    # a row-wise reduction, not a matrix product: each replication's sum
-    # must not depend on how many others share its batch
-    return (np.einsum("bkj,bkj->bj", u, u) * fit.weight).sum(axis=1)
-
-
 def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> int:
     """The number of a block's rows whose bootstrap statistic reaches D^2.
 
@@ -349,9 +320,8 @@ def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> int
     rotated columns one at a time: after column k a row's value over the
     first k + 1 columns, ``low``, brackets its full-rank value with
     ``low + tail[k + 1] * sum_t eta_t^2 v_t``, and a row leaves once the
-    bracket lies clear of D^2 (module docstring). Rows still open after the
-    last column go to ``_replicate`` with their spectra and means, in
-    chunks of n // K rows (at least one).
+    bracket lies clear of D^2 (module docstring). A row still open after the
+    last column is within the slack of D^2, a tie, and counts as reaching it.
     """
     K, J = fit.rotated_prefix.shape
     D = fit.statistic
@@ -399,12 +369,7 @@ def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> int
         rows, low = rows[keep], low[keep]
         if not len(rows):
             break
-    step = max(1, len(eta) // max(K, 1))  # full-rank rows of about one block
-    for i in range(0, len(rows), step):
-        chunk = rows[i : i + step]
-        full = _replicate(fit, spec[:, chunk], mean[chunk])
-        above += int(np.count_nonzero(full >= D))
-    return above
+    return above + len(rows)
 
 
 def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:

@@ -136,9 +136,11 @@ def ref_full_rank(fit, eta):
     For lag j and factor column k, u*_jk = xcorr(L_k, eta*z)[j] - shift_j *
     xcorr(L_k, eta)[j] - mean_j(eta * e^(j)) * prefix_k(T - j), and a
     replication is sum_j gamma_j sum_k u*_jk^2. L's spectra and prefix sums
-    are taken from ``fit.factor`` here, not from ``fit.finish``. The FFTs,
-    sums and their order are the package's, so the values match its
-    full-rank finish bit for bit, as exact p-value checks need.
+    are taken from ``fit.factor``, the factor the statistic was summed from.
+    The values agree with the package's rotated ones up to roundoff, far
+    inside the bootstrap's tie slack, so ``ref_count_reaching`` over them
+    gives the package's exceedance count unless a value lies within
+    roundoff of the tie band's edge.
     """
     J = len(fit.weight)
     m = len(eta)
@@ -152,6 +154,14 @@ def ref_full_rank(fit, eta):
     mean = (tails[:m] - fit.shift * tails[m:]) / fit.counts
     u = corr[:m] - (corr[m:] * fit.shift + mean[:, None, :] * prefix)
     return (np.einsum("bkj,bkj->bj", u, u) * fit.weight).sum(axis=1)
+
+
+def ref_count_reaching(full, statistic, slack):
+    """How many bootstrap values reach the statistic D^2, ties counted: a
+    value counts when it is at least D^2 - slack * (D^2 + value), so one
+    within roundoff below D^2 reaches it, as the add-one rule's >= intends."""
+    full = np.asarray(full, dtype=np.float64)
+    return int(np.count_nonzero(full >= statistic - slack * (statistic + full)))
 
 
 def ref_jarque_bera(values):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -19,10 +20,11 @@ from mdhtest import (
 )
 from mdhtest import gs
 from mdhtest.bootstrap import GS_DOMAIN, _substreams, draw_multipliers, substream
-from mdhtest.gs import _exceedances, _fit, _replicate
+from mdhtest.gs import _exceedances, _fit
 from conftest import generated_values, make_series
 from reference import (
     random_series_values,
+    ref_count_reaching,
     ref_full_rank,
     ref_gs_statistic,
     ref_gs_statistic_expm1,
@@ -297,23 +299,10 @@ def _draws(boot, T):
     )
 
 
-def _spy_finish(monkeypatch):
-    """The multipliers' spectra that reach gs's full-rank finish, as a list
-    of one (rows, nfft//2 + 1) array per chunk."""
-    finished = []
-
-    def spy(fit, spec, mean):
-        finished.append(spec[1].copy())
-        return _replicate(fit, spec, mean)
-
-    monkeypatch.setattr(gs, "_replicate", spy)
-    return finished
-
-
 class TestEarlyDecision:
     # every replication runs through the rotated columns of the Gram factor
-    # one at a time and retires once its bracket decides it; only rows
-    # still open after the last column run at full rank
+    # one at a time and retires once its bracket decides it; a row still
+    # open after the last column is a tie with D^2 and counts as reaching it
 
     REGIMES = pytest.mark.parametrize(
         "make",
@@ -385,9 +374,10 @@ class TestEarlyDecision:
 
     @REGIMES
     def test_finish_reads_the_unrotated_factor(self, make):
-        # the full-rank finish must read the factor the statistic was summed
-        # from: each lag's terms, rebuilt from fit.factor column by column in
-        # the pivot loop's order, equal fit.terms bit for bit
+        # the full-rank oracle ref_full_rank must read the factor the
+        # statistic was summed from: each lag's terms, rebuilt from fit.factor
+        # column by column in the pivot loop's order, equal fit.terms bit for
+        # bit
         values = make(np.random.default_rng(51))
         T = len(values)
         fit = _fit(values, T - 1)
@@ -401,7 +391,7 @@ class TestEarlyDecision:
             sums += u * u
         assert np.array_equal(fit.weight * sums, fit.terms)
 
-    def test_straddling_rows_finish_at_full_rank(self, monkeypatch):
+    def test_straddling_rows_count_as_ties(self, monkeypatch):
         values = random_series_values(np.random.default_rng(52), 300) * 100.0
         fit = _fit(values, 299)
         boot = BootstrapConfig(n_boot=200, seed=4)
@@ -411,20 +401,38 @@ class TestEarlyDecision:
         eta[[10, 20]] = -eta[0]
         D = float(ref_full_rank(fit, eta[:1])[0])
         full = ref_full_rank(fit, eta)
-        assert np.sum(np.abs(full - D) <= 1e-6 * D) == 3
-        # one draw per replication: the finish reuses a row's multipliers,
-        # and a 201st draw would raise StopIteration
+        tied = np.abs(full - D) <= 1e-6 * D
+        assert np.flatnonzero(tied).tolist() == [0, 10, 20]
+        # one draw per replication: a 201st draw would raise StopIteration
         rows = iter(eta)
         monkeypatch.setattr(gs, "draw_multipliers", lambda rng, law, T: next(rows))
-        finished = _spy_finish(monkeypatch)
         exceed = _exceedances(replace(fit, statistic=D), boot)
-        assert sorted(map(bytes, np.concatenate(finished))) == sorted(
-            map(bytes, np.fft.rfft(eta[[0, 10, 20]], fit.nfft))
-        )
-        assert exceed == np.sum(full >= D)
+        # all three tied rows reach D, whichever side of it roundoff puts them
+        assert exceed == np.sum(full[~tied] > D) + 3
+
+    def test_every_exact_tie_counts_at_t4(self, monkeypatch):
+        # all 16 Rademacher sign patterns as the 16 replications. eta_0
+        # multiplies no residual, and a global sign flip keeps every
+        # quadratic form, so the four patterns with eta_1 = eta_2 = eta_3
+        # give D^2 exactly; every one of them must count
+        values = 4.4 * np.random.default_rng(4).standard_normal(4)
+        patterns = np.array(list(itertools.product([-1.0, 1.0], repeat=4)))
+        tied = np.all(patterns[:, 1:] == patterns[:, 1:2], axis=1)
+        assert np.sum(tied) == 4
+        fit = _fit(values, 3)
+        D = fit.statistic
+        assert D == pytest.approx(ref_gs_statistic_expm1(list(values)), rel=1e-12)
+        # no other pattern lies near D^2, so the count turns on the ties alone
+        full = ref_full_rank(fit, patterns)
+        assert np.all(np.abs(full[~tied] - D) > 1e-3 * D)
+        rows = iter(patterns)
+        monkeypatch.setattr(gs, "draw_multipliers", lambda rng, law, T: next(rows))
+        boot = BootstrapConfig(n_boot=16, multiplier="rademacher", seed=0)
+        out = gs_test(make_series(values), boot)
+        assert out.p_value == (1.0 + np.sum(full[~tied] > D) + 4) / 17.0
 
     @pytest.mark.parametrize("law", ["normal", "rademacher", "mammen"])
-    def test_p_value_equals_full_rank_count(self, law, monkeypatch):
+    def test_p_value_equals_full_rank_count(self, law):
         rng = np.random.default_rng(53)
         grid = [
             (sd * rng.standard_normal(T), max_lag)
@@ -440,22 +448,19 @@ class TestEarlyDecision:
             (np.round(rng.standard_normal(300), 1), "full"),
             (generate(bilinear).values, "full"),
         ]
-        finished = _spy_finish(monkeypatch)
-        early = finishing = 0
+        banded = 0
         for i, (values, max_lag) in enumerate(grid):
             values = np.asarray(values, dtype=np.float64)
             boot = BootstrapConfig(n_boot=49, multiplier=law, seed=i)
-            finished.clear()
             out = gs_test(make_series(values), boot, max_lag=max_lag)
             fit = _fit(values, out.max_lag_used)
+            D = fit.statistic
             full = ref_full_rank(fit, _draws(boot, len(values)))
-            exceed = np.sum(full >= fit.statistic)
+            exceed = ref_count_reaching(full, D, gs._SLACK)
             assert out.p_value == (1.0 + exceed) / 50.0
-            early += not finished
-            finishing += bool(finished)
-        # both paths ran: some case retired every row early, and some sent
-        # rows to the full-rank finish
-        assert early and finishing
+            banded += bool(np.any(np.abs(full - D) <= gs._SLACK * (D + full)))
+        # the tie rule ran: some case has a row inside the tie band
+        assert banded
 
     @given(
         T=st.integers(min_value=2, max_value=120),
@@ -483,7 +488,8 @@ class TestEarlyDecision:
         out = gs_test(make_series(values), boot, max_lag=max_lag)
         fit = _fit(values, out.max_lag_used)
         full = ref_full_rank(fit, _draws(boot, T))
-        assert out.p_value == (1.0 + np.sum(full >= fit.statistic)) / (n_boot + 1.0)
+        exceed = ref_count_reaching(full, fit.statistic, gs._SLACK)
+        assert out.p_value == (1.0 + exceed) / (n_boot + 1.0)
 
     @pytest.mark.parametrize("law", ["normal", "rademacher", "mammen"])
     def test_outcome_independent_of_block_size(self, law, monkeypatch):
@@ -491,7 +497,6 @@ class TestEarlyDecision:
         # of integers, so blocks of one row, of the default size and of every
         # row give the same outcome. At T = 300 the default blocks end on a
         # short one
-        finished = _spy_finish(monkeypatch)
         boot = BootstrapConfig(n_boot=99, multiplier=law, seed=8)
         default = gs._BLOCK_BYTES
         for make in self.REGIMES.args[1]:
@@ -504,35 +509,6 @@ class TestEarlyDecision:
                 monkeypatch.setattr(gs, "_BLOCK_BYTES", size)
                 outcomes.append(gs_test(series, boot))
             assert outcomes[0] == outcomes[1] == outcomes[2]
-        # rank 0 sends every row to the full-rank finish
-        assert finished
-
-    def test_finish_derives_the_factor_spectra_once(self, monkeypatch):
-        # with every row forced to the full-rank finish, the rows arrive in
-        # several chunks, and the unrotated factor's spectra are taken once
-        # for all of them
-        values = random_series_values(np.random.default_rng(54), 300) * 100.0
-        series = make_series(values)
-        boot = BootstrapConfig(n_boot=19, seed=6)
-        expected = gs_test(series, boot)
-        fits, transformed = [], []
-        rfft = np.fft.rfft
-
-        def fit_spy(values, J):
-            fits.append(_fit(values, J))
-            return fits[-1]
-
-        def rfft_spy(a, *args, **kwargs):
-            transformed.append(a)
-            return rfft(a, *args, **kwargs)
-
-        monkeypatch.setattr(gs, "_fit", fit_spy)
-        monkeypatch.setattr(np.fft, "rfft", rfft_spy)
-        monkeypatch.setattr(gs, "_SLACK", np.inf)
-        finished = _spy_finish(monkeypatch)
-        assert gs_test(series, boot) == expected
-        assert len(finished) > 1
-        assert sum(a is fits[0].factor for a in transformed) == 1
 
 
 class TestGsTest:
@@ -557,31 +533,29 @@ class TestGsTest:
         b = gs_test(s, boot)
         assert a == b
 
-    def test_matches_manual_bootstrap_reconstruction(self, monkeypatch):
+    def test_matches_manual_bootstrap_reconstruction(self):
         cases = [
             (random_series_values(np.random.default_rng(36), 50), 23),
-            # percent scale: the rotated columns retire every replication
-            # before the full-rank finish
+            # percent scale, rank over 20
             (100.0 * random_series_values(np.random.default_rng(16), 300), 39),
         ]
-        finished = _spy_finish(monkeypatch)
         for values, n_boot in cases:
             T = len(values)
             s = make_series(values)
             boot = BootstrapConfig(n_boot=n_boot, multiplier="normal", seed=11)
-            finished.clear()
             out = gs_test(s, boot)
             fit = _fit(values, T - 1)
             statistic = fit.statistic
-            exceed = 0
+            full = []
             for j in range(boot.n_boot):
                 rng = substream(boot.seed, GS_DOMAIN, j)
                 eta = draw_multipliers(rng, boot.multiplier, T)
-                exceed += ref_full_rank(fit, eta[None, :])[0] >= statistic
+                full.append(ref_full_rank(fit, eta[None, :])[0])
+            exceed = ref_count_reaching(full, statistic, gs._SLACK)
             assert out.p_value == (1.0 + exceed) / (boot.n_boot + 1.0)
             assert out.statistic == statistic
             assert out.n_boot == n_boot
-        assert len(fit.factor) > 20 and not finished
+        assert len(fit.factor) > 20
 
     def test_one_draw_per_replication(self, monkeypatch):
         # the benchmark's tracer counts these calls through gs's globals
@@ -623,10 +597,11 @@ class TestGsTest:
     def test_memory_within_block_plus_factor(self, T, sd):
         # working memory is O(_BLOCK_BYTES + K * T) (module docstring): the
         # bootstrap's buffers, plus arrays of T values for each factor
-        # column and a few more. The constants are measured, with 1.34x
+        # column and a few more. The constants are measured, with 1.6x
         # headroom or more on every case here; at T = 2000, sd 5 (K = 86)
         # and T = 6000, sd 1.5 (K = 36) a second copy of the factor's
-        # spectra and a finish workspace of K rows would exceed the bound
+        # spectra and a workspace of K columns' products and correlations
+        # for each of a block's rows would exceed the bound
         blocks = 2  # bootstrap blocks' worth of buffers
         column_bytes = 56  # bytes per factor column and observation
         extra_columns = 20  # the O(T) arrays of the fit, in columns
