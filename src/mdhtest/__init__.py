@@ -16,7 +16,6 @@ power work, and CSV panel ingestion (``load_panel``, ``equal_weight_series``).
 
 from .avr import (
     AvrOutcome,
-    auto_bandwidth,
     avr_statistic,
     avr_test,
     qs_kernel,
@@ -73,7 +72,6 @@ __all__ = [
     "Window",
     "WindowResult",
     "WindowSpec",
-    "auto_bandwidth",
     "autocorr",
     "autocorrelations",
     "avr_statistic",

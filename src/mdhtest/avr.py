@@ -125,13 +125,6 @@ def variance_ratio(series: ReturnSeries, k: float) -> float:
         return float(_variance_ratios(rho[None, :], np.array([period]))[0])
 
 
-def auto_bandwidth(series: ReturnSeries) -> float:
-    """Data-dependent bandwidth k-hat from the lag-1 autocorrelation."""
-    values = _checked(series.values, 4)
-    rho1 = autocorrelations(values, max_lag=1)
-    return float(_bandwidth_from_rho1(rho1, len(values))[0])
-
-
 def avr_statistic(series: ReturnSeries) -> tuple[float, float, float]:
     """(statistic, vr, bandwidth) with the automatic bandwidth choice."""
     values = _checked(series.values, 4)

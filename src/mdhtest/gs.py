@@ -12,7 +12,10 @@ columns, and every leading block inherits the factor:
 W[:n, :n] ~ L[:n] L[:n]'. Each lag term is then gamma_j * sum_k u_jk^2
 with u_jk = L[:n, k]' c_j, which for all lags at once is the
 cross-correlation of column k with the centered data, less a prefix-sum
-correction for the per-lag mean: one FFT per column. Cost is
+correction for the per-lag mean: one FFT per column. The FFTs are
+T - 1 + J long (rounded up to a 5-smooth length), J the last lag kept:
+the correlations at lags 1..J of a length-(T - 1) column with a length-T
+series do not wrap at that length, and full lags give 2T - 2. Cost is
 O(T K (K + log T)) and memory O(T K); no T x T matrix is formed.
 
 Because every c_j sums to zero, the statistic is unchanged when W is
@@ -65,21 +68,31 @@ matrix L'L, by falling eigenvalue: the columns of L V are orthogonal,
 their squared norms are those eigenvalues, and the leading columns carry
 most of any replication's value. L V V' L' = L L', so the rotation keeps
 every quadratic form. With S_k a replication's value over the first k
-rotated columns and tail[k] the squared Frobenius norm of the columns
-from k on (tail[K] = 0),
+rotated columns and tail[k] a bound on the squared spectral norm of the
+columns from k on (tail[K] = 0),
 
     S_k <= S_K <= S_k + tail[k] * sum_j gamma_j |c*_j|^2
                <= S_k + tail[k] * sum_t eta_t^2 v_t.
 
-The middle step holds because the tail block's squared spectral norm is
-at most its squared Frobenius norm; the last because centering only
-shrinks a vector, |c*_j|^2 <= |eta * e^(j)|^2, and v_t = sum_{j <= t}
-gamma_j (z_t - shift_j)^2 regroups the lag sums by time index. The fit
-builds v from prefix sums of gamma, gamma * shift and gamma * shift^2, so
-a row's upper end costs one dot product. The Frobenius tail is computed
-from the rotated columns themselves, so no eigenvalue, and no error of
-the eigensolver, enters the bound; V need only be orthogonal, which it is
-to O(K * 2^-53).
+The last step holds because centering only shrinks a vector,
+|c*_j|^2 <= |eta * e^(j)|^2, and v_t = sum_{j <= t} gamma_j
+(z_t - shift_j)^2 regroups the lag sums by time index. The fit builds v
+from prefix sums of gamma, gamma * shift and gamma * shift^2, so a row's
+upper end costs one dot product.
+
+The tail is certified from the rotated columns t_l themselves: it is the
+smaller of two bounds on the largest eigenvalue of their Gram matrix
+G[k:, k:], G_il = t_i' t_l. One is its trace, the squared Frobenius norm
+sum_{l >= k} |t_l|^2. The other is Gershgorin's max_{i >= k}
+sum_{l >= k} |G_il| over the computed G, raised by
+N 2^-52 (sum_{l >= k} |t_l|)^2: each computed entry is a length-N dot
+product within about N 2^-53 |t_i| |t_l| of its exact value, whatever the
+order of its sum, and the factor 2 covers that and the rounding of the
+row sums. So no eigenvalue, and no error of the eigensolver, enters the
+bound; V need only be orthogonal, which it is to O(K * 2^-53). The
+rotation leaves G nearly diagonal, so Gershgorin's bound is about the
+k-th eigenvalue alone where the trace sums all those from k on; it is the
+smaller until the last columns, where the pad can exceed the trace.
 
 A block of replications runs through the rotated columns one at a time.
 After each column, a row whose bracket lies above or below D^2 by more
@@ -92,13 +105,12 @@ orthogonality and by the rounding of their sums of nonnegative terms,
 each sum within (K + J) * 2^-53 relative of its exact value: under 3e-12
 for T up to 1e4. The FFT error in the columns and the rounding of tail
 and v move the upper end by amounts of the same relative size, far below
-both the slack and the excess of the Frobenius bound over the tail it
-bounds. So every exact tie counts, whatever the rounding: Rademacher
+the slack. So every exact tie counts, whatever the rounding: Rademacher
 multipliers at small T give them, since a pattern equal to +1 or -1 on
 every residual keeps every quadratic form. A row truly below D^2 by less
 than the slack counts too, so the p-value is conservative by at most
 those rows over B + 1. On the benchmark's percent-scale series (T = 250,
-K 16 to 24) a replication leaves after 0.24 * K columns on average, and
+K 16 to 24) a replication leaves after 0.22 * K columns on average, and
 none stays open after the last column.
 
 A block holds as many rows as fit _BLOCK_BYTES at 64 * nfft bytes a row.
@@ -181,7 +193,7 @@ class _Fit:
     factor: np.ndarray  # (K, T - 1) L' by rows, the pivoted factor
     rotated: np.ndarray  # (K, nfft//2 + 1) conjugate spectra of L V's columns
     rotated_prefix: np.ndarray  # (K, J) L V's column sums over the first T - j rows
-    tail: np.ndarray  # (K + 1,) squared Frobenius norm of L V's columns k..K-1
+    tail: np.ndarray  # (K + 1,) bound on L V's columns k..K-1, squared 2-norm
     spread: np.ndarray  # (T,) v_t = sum_{j <= t} gamma_j (z_t - shift_j)^2
 
 
@@ -198,12 +210,10 @@ def gram_matrix(series: ReturnSeries) -> np.ndarray:
 
 
 def _lagged(series: ReturnSeries, max_lag) -> tuple[np.ndarray, int]:
-    """The checked values and max_lag as a count, T - 1 for None or "full"."""
+    """The checked values and max_lag, ``"full"`` or an integer, as a count."""
     values = _checked(series.values, 2)
     T = len(values)
-    if max_lag is None or max_lag == "full":
-        max_lag = T - 1
-    return values, _count(max_lag, "max_lag", 1, T - 1)
+    return values, _count(T - 1 if max_lag == "full" else max_lag, "max_lag", 1, T - 1)
 
 
 def _suffix_sums(a: np.ndarray, J: int, out=None) -> np.ndarray:
@@ -225,7 +235,7 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
     norms = np.maximum(_suffix_sums(z * z, J) - counts * shift**2, 0.0)
     budget = float(weight @ norms)  # sum_j gamma_j |c_j|^2
 
-    nfft = _fast_len(2 * T - 2)
+    nfft = _fast_len(N + J)  # lags 1..J of a length-N column do not wrap
     z_spec = np.fft.rfft(z, nfft)
     x = values[:N]
     anchor = np.expm1(-0.5 * (x - x[np.argmin(np.abs(x - x.mean()))]) ** 2)
@@ -262,7 +272,13 @@ def _fit(values: np.ndarray, J: int) -> _Fit:
     # (module docstring); a real product, then one FFT per rotated column
     factor = rows[:K]
     turned = np.linalg.eigh(factor @ factor.T)[1][:, ::-1].T @ factor
-    tail = np.cumsum(np.einsum("kt,kt->k", turned, turned)[::-1])[::-1]
+    energy = np.einsum("kt,kt->k", turned, turned)
+    # tail[k]: the smaller of the trace and the padded Gershgorin bound of
+    # the rotated columns' Gram matrix from k on (module docstring);
+    # gersh[i, k] sums row i's |entries| from column k on, for i >= k
+    gersh = np.tril(np.cumsum(np.abs(turned @ turned.T)[:, ::-1], axis=1)[:, ::-1])
+    pad = N * 2.0**-52 * np.cumsum(np.sqrt(energy)[::-1])[::-1] ** 2
+    tail = np.minimum(np.cumsum(energy[::-1])[::-1], gersh.max(0, initial=0.0) + pad)
     # prefix sums over lags j <= t of gamma_j, gamma_j shift_j, gamma_j shift_j^2
     g = np.cumsum([weight, weight * shift, weight * shift**2], axis=1)
     g = np.pad(g, ((0, 0), (1, 0)))[:, np.minimum(np.arange(T), J)]

@@ -230,11 +230,11 @@ def autocorr(series: ReturnSeries, lag: int) -> float:
     """
     values = _checked(series.values, 2)
     lag = _count(lag, "lag", 1, len(values) - 1)
-    return float(autocorrelations(values, max_lag=lag)[-1])
+    return float(autocorrelations(values)[lag - 1])
 
 
-def autocorrelations(values: np.ndarray, max_lag: int | None = None) -> np.ndarray:
-    """Sample autocorrelations for lags 1..max_lag (default T-1), as one array.
+def autocorrelations(values: np.ndarray) -> np.ndarray:
+    """Sample autocorrelations for lags 1..T-1, as one array.
 
     The one autocorrelation estimator: :func:`autocorr` returns one lag of
     it. All lags are computed jointly, by a direct correlation for short
@@ -244,15 +244,13 @@ def autocorrelations(values: np.ndarray, max_lag: int | None = None) -> np.ndarr
     T = len(values)
     if T < 2:
         raise ValueError(f"need at least 2 observations, got {T}")
-    max_lag = _count(T - 1 if max_lag is None else max_lag, "max_lag", 1, T - 1)
     d, den = _demeaned(values)
     if T <= _DIRECT_ACV_LIMIT:
-        # Only the lags 0..max_lag: one length-T dot product each, d against
-        # its zero-padded shift, not the 2T-1 of a full correlation.
-        padded = np.concatenate((d, np.zeros(max_lag)))
-        acv = np.correlate(padded, d, mode="valid")
+        # The lags 0..T-1: one length-T dot product each, d against its
+        # shift into T-1 zeros, not the 2T-1 of a full correlation.
+        acv = np.correlate(np.concatenate((d, np.zeros(T - 1))), d, mode="valid")
     else:
         n = _fast_len(2 * T - 1)
         spec = np.fft.rfft(d, n)
         acv = np.fft.irfft(spec * np.conj(spec), n)[:T]
-    return acv[1 : max_lag + 1] / den
+    return acv[1:] / den

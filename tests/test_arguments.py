@@ -25,7 +25,6 @@ from mdhtest import (
     ReturnSeries,
     WindowSpec,
     autocorr,
-    autocorrelations,
     draw_multipliers,
     gs_statistic,
     gs_test,
@@ -83,8 +82,6 @@ COUNTS = {
         None, 150, "burn_in"),
     "autocorr.lag": (
         "lag", lambda v: autocorr(SHORT, v), 1, _T - 1, 3, None),
-    "autocorrelations.max_lag": (
-        "max_lag", lambda v: autocorrelations(SHORT.values, v), 1, _T - 1, 3, None),
     "gs_statistic.max_lag": (
         "max_lag", lambda v: gs_statistic(SHORT, v), 1, _T - 1, 3, None),
     "gs_test.max_lag": (
@@ -124,6 +121,16 @@ def test_count_accepts_numpy_integer(entry):
     if attr is not None:
         stored = getattr(result, attr)
         assert type(stored) is int and stored == valid
+
+
+@pytest.mark.parametrize(
+    "entry", ["gs_statistic.max_lag", "gs_test.max_lag", "truncation_bound.max_lag"]
+)
+def test_gs_max_lag_refuses_none(entry):
+    # "every lag" is spelled "full" only
+    with pytest.raises(ValueError) as exc:
+        COUNTS[entry][1](None)
+    assert str(exc.value) == f"max_lag must be an integer in [1, {_T - 1}], got None"
 
 
 CHOICES = {

@@ -10,7 +10,6 @@ from mdhtest import (
     AvrOutcome,
     BootstrapConfig,
     DgpSpec,
-    auto_bandwidth,
     avr_statistic,
     avr_test,
     generate,
@@ -18,7 +17,7 @@ from mdhtest import (
     variance_ratio,
 )
 from mdhtest import avr
-from mdhtest.avr import _CHUNK_BYTES, _bandwidth_from_rho1
+from mdhtest.avr import _CHUNK_BYTES, _bandwidth_from_rho1, _chunk_statistics
 from mdhtest.bootstrap import AVR_DOMAIN, _substreams, draw_multipliers, substream
 from mdhtest.series import _DIRECT_ACV_LIMIT, autocorrelations
 from conftest import generated_values, make_series
@@ -78,7 +77,7 @@ class TestBandwidth:
         assert _bandwidth_from_rho1(np.array([0.0, 1.0]), 1000).tolist() == [1.0, 1.0]
 
     def test_array_matches_scalar_elementwise(self):
-        # each element equals its own one-element call, the form auto_bandwidth uses
+        # each element equals its own one-element call, avr_statistic's one-row block
         near_one = [1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 1e-15, np.nextafter(1.0, 0.0)]
         rho1 = np.array([0.0, 0.5, -0.9, 1.0, *near_one])
         for n_obs in (4, 250, 1000):
@@ -92,13 +91,13 @@ class TestBandwidth:
 
     def test_auto_bandwidth_affine_invariant(self):
         values = random_series_values(np.random.default_rng(11), 200)
-        k1 = auto_bandwidth(make_series(values))
-        k2 = auto_bandwidth(make_series(3.5 * values - 0.02))
+        k1 = avr_statistic(make_series(values))[2]
+        k2 = avr_statistic(make_series(3.5 * values - 0.02))[2]
         assert k2 == pytest.approx(k1, rel=1e-9)
 
     def test_needs_four_observations(self):
         with pytest.raises(ValueError):
-            auto_bandwidth(make_series([0.1, 0.2, 0.3]))
+            avr_statistic(make_series([0.1, 0.2, 0.3]))[2]
 
 
 class TestVarianceRatio:
@@ -145,6 +144,27 @@ class TestVarianceRatio:
         got = avr_statistic(make_series(values))
         want = ref_avr_statistic(list(values))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10 + centring)
+
+    @given(
+        values=generated_values(4, 300),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_chunk_row_independent_of_its_block(self, values, rows, seed):
+        # a replication's statistic, ratio and bandwidth are the same bits
+        # whatever block it is computed in; the last row is a constant
+        # replication, which avr_test enters as zeros
+        assume(np.ptp(values) > 0.0)
+        T = len(values)
+        rng = np.random.default_rng(seed)
+        block = np.zeros((rows + 1, T - 1))
+        for i in range(rows):
+            block[i] = autocorrelations(rng.standard_normal(T) * values)
+        together = _chunk_statistics(block, T)
+        for i in range(rows + 1):
+            alone = _chunk_statistics(block[i : i + 1], T)
+            assert [a[i] for a in together] == [a[0] for a in alone]
 
 
 class TestAvrStatistic:

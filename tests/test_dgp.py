@@ -104,7 +104,7 @@ class TestGenerate:
 
     def test_ar1_first_autocorrelation(self):
         s = generate(DgpSpec(kind="ar1", length=10_000, seed=2, params={"phi": 0.5}))
-        assert autocorrelations(s.values, max_lag=1)[0] == pytest.approx(0.5, abs=0.03)
+        assert autocorrelations(s.values)[0] == pytest.approx(0.5, abs=0.03)
 
     @pytest.mark.parametrize("phi", [-0.9, -0.3, 0.0, 0.5, 0.95])
     def test_ar1_recursion_matches_lfilter(self, phi):
@@ -122,8 +122,8 @@ class TestGenerate:
                 params={"omega": 0.05, "alpha": 0.1, "beta": 0.85},
             )
         )
-        levels = autocorrelations(s.values, max_lag=1)[0]
-        squares = autocorrelations(s.values**2, max_lag=1)[0]
+        levels = autocorrelations(s.values)[0]
+        squares = autocorrelations(s.values**2)[0]
         assert abs(levels) <= 0.03
         assert squares > 0.05
 
@@ -139,7 +139,7 @@ class TestGenerate:
         assert v.mean() == pytest.approx(b, abs=0.02)
         assert (v**2).mean() == pytest.approx((1 + 2 * b * b) / (1 - b * b), abs=0.06)
         rho1_theory = b * b * (1 - b * b) / (1 + b * b + b**4)
-        assert autocorrelations(v, max_lag=1)[0] == pytest.approx(rho1_theory, abs=0.02)
+        assert autocorrelations(v)[0] == pytest.approx(rho1_theory, abs=0.02)
 
 
 class TestPowerMonotoneInSampleSize:

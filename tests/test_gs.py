@@ -100,6 +100,35 @@ class TestGsStatistic:
         want = ref_gs_statistic(list(values), max_lag=6)
         assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("J", [1, 24])
+    def test_truncated_lags_do_not_wrap(self, J):
+        # the FFT is T - 1 + J long; at T = 26 one shorter (25 or 48) is
+        # 5-smooth, so a length one short would wrap a product onto lag J
+        values = random_series_values(np.random.default_rng(29), 26)
+        got = gs_statistic(make_series(values), max_lag=J)
+        want = ref_gs_statistic_expm1(list(values), max_lag=J)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @given(values=generated_values(2, 60), data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_oracle_on_generated_series(self, values, data):
+        # The oracle rounds each of its n^2 products per lag to 2^-53
+        # relative, which by Cauchy-Schwarz moves lag j by at most
+        # T 2^-53 gamma_j |c_j|^2: so near-zero statistics (tied data) are
+        # compared to T 2^-52 sum_j gamma_j |c_j|^2, not relatively. Past
+        # that, roundoff is allowed 1e-12 relative, against at most 1.7e-13
+        # seen on such series
+        assume(np.ptp(values) > 0.0)
+        T = len(values)
+        J = data.draw(st.integers(1, T - 1))
+        fit = _fit(values, J)
+        assert gs_statistic(make_series(values), max_lag=J) == fit.statistic
+        exact = ref_gs_statistic_expm1(list(values), max_lag=J)
+        floor = T * 2.0**-52 * float(fit.weight @ fit.norms)
+        assert abs(exact - fit.statistic) <= 1e-10 * exact + floor
+        roundoff = 1e-12 * exact + floor
+        assert -roundoff <= exact - fit.statistic <= fit.error_bound + roundoff
+
     def test_nonnegative(self):
         rng = np.random.default_rng(25)
         for T in (5, 40, 150):
@@ -371,6 +400,20 @@ class TestEarlyDecision:
         # up to the rounding of the largest
         energy = np.einsum("kt,kt->k", turned, turned)
         assert np.all(energy[1:] <= energy[:-1] + 1e-12 * energy[:1])
+
+    def test_gershgorin_tail_undercuts_frobenius(self):
+        # percent scale, K ~ 20: the eigenvalues fall slowly, so before the
+        # last column the Gershgorin bound is the smaller, and it still caps
+        # the largest eigenvalue of the trailing columns' Gram matrix
+        values = np.random.default_rng(51).standard_normal(300)
+        fit = _fit(values, 299)
+        turned = self._turned(fit)
+        K = len(turned)
+        frobenius = np.cumsum(np.einsum("kt,kt->k", turned, turned)[::-1])[::-1]
+        assert K > 10
+        for k in range(K - 1):
+            top = np.linalg.eigvalsh(turned[k:] @ turned[k:].T)[-1]
+            assert top * (1.0 - 1e-12) <= fit.tail[k] < 0.99 * frobenius[k]
 
     @REGIMES
     def test_finish_reads_the_unrotated_factor(self, make):

@@ -9,7 +9,6 @@ from mdhtest import (
     BootstrapConfig,
     DegenerateSeriesError,
     ReturnSeries,
-    auto_bandwidth,
     autocorr,
     autocorrelations,
     avr_statistic,
@@ -180,7 +179,7 @@ class TestAutocorrelations:
         values = np.random.default_rng(T).standard_normal(T)
         s = make_series(values)
         for lag in (1, 2, T - 1):
-            assert autocorr(s, lag) == autocorrelations(values, max_lag=lag)[lag - 1]
+            assert autocorr(s, lag) == autocorrelations(values)[lag - 1]
 
     def test_fft_and_direct_paths_agree(self):
         # T=2500 exercises the FFT path; compare against the direct product
@@ -192,16 +191,6 @@ class TestAutocorrelations:
         for lag in (1, 7, 100, 2400):
             direct = float(d[: len(d) - lag] @ d[lag:]) / den
             assert rho_fft[lag - 1] == pytest.approx(direct, rel=1e-9, abs=1e-12)
-
-    def test_max_lag_truncation(self):
-        values = np.random.default_rng(4).standard_normal(30)
-        assert len(autocorrelations(values, max_lag=5)) == 5
-        assert np.array_equal(
-            autocorrelations(values, max_lag=np.int64(5)), autocorrelations(values, 5)
-        )
-        for bad in (0, 30, 2.5, True):
-            with pytest.raises(ValueError, match="max_lag"):
-                autocorrelations(values, max_lag=bad)
 
     def test_empty_input_message(self):
         # the suite turns a RuntimeWarning (a mean of no values) into an error
@@ -233,7 +222,6 @@ class TestSeriesValidity:
         "avr_statistic": avr_statistic,
         "avr_test": lambda s: avr_test(s, TestSeriesValidity.BOOT),
         "variance_ratio": lambda s: variance_ratio(s, 2.0),
-        "auto_bandwidth": auto_bandwidth,
         "gs_statistic": gs_statistic,
         "gs_test": lambda s: gs_test(s, TestSeriesValidity.BOOT),
         "truncation_bound": lambda s: truncation_bound(s, 1),
