@@ -137,8 +137,8 @@ def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
     """AVR test with wild-bootstrap p-value and confidence band.
 
     Each replication j multiplies the series by fresh noise from
-    ``substream(boot.seed, AVR_DOMAIN, j)`` (derived in bulk by
-    ``_substreams``) and recomputes the entire pipeline, bandwidth
+    ``substream(boot.seed, AVR_DOMAIN, j)``, j in [0, B) (derived in bulk
+    by ``_substreams``), and recomputes the entire pipeline, bandwidth
     re-selection included. Replications run in chunks of
     ``_CHUNK_BYTES // (8 (T-1))`` rows (at least one): the noise and the
     autocorrelations are computed one replication at a time, then one
@@ -154,7 +154,7 @@ def avr_test(series: ReturnSeries, boot: BootstrapConfig) -> AvrOutcome:
     rows = min(boot.n_boot, max(1, _CHUNK_BYTES // (8 * (T - 1))))
     rho = np.empty((rows, T - 1))
     boot_stats = np.empty(boot.n_boot)
-    streams = _substreams(boot.seed, AVR_DOMAIN, 0, boot.n_boot)
+    streams = _substreams(boot.seed, AVR_DOMAIN, boot.n_boot)
     for start in range(0, boot.n_boot, rows):
         stop = min(start + rows, boot.n_boot)
         for i, rng in zip(range(stop - start), streams):

@@ -4,8 +4,9 @@ Every stochastic operation derives an independent random stream from
 (master seed, context indices) via :func:`substream`; nothing touches global
 RNG state. Replication j of a bootstrap always reads stream
 ``substream(seed, domain, j)``, so results do not depend on execution order
-or worker count. A test takes its replications' streams from
-:func:`_substreams`, which derives the same streams in bulk.
+or worker count. A test takes the streams of its replications
+j in [0, B) from :func:`_substreams`, which derives the same streams in
+bulk; ``BootstrapConfig`` bounds B by 2^32, so every j is one 32-bit word.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_boot", _count(self.n_boot, "n_boot", 1))
+        object.__setattr__(self, "n_boot", _count(self.n_boot, "n_boot", 1, 2**32))
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         _choice(self.multiplier, MULTIPLIERS, "multiplier")
 
@@ -95,11 +96,13 @@ def _hasher(const: int, mult: int):
 def _seed_pool(entropy: list) -> list:
     """SeedSequence's pool for entropy words that are ints or uint32 arrays.
 
-    numpy's ``mix_entropy`` with pool size 4. One pass hashes every key
-    whose words are array elements, and constant words stay Python ints.
+    numpy's ``mix_entropy`` with pool size 4, for entropy of at least four
+    words (a spawned key has six or more: the padded seed, the domain and
+    j). One pass hashes every key whose words are array elements, and
+    constant words stay Python ints.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
+    pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
@@ -128,27 +131,23 @@ def _pcg_states(pool: list) -> list:
     return out
 
 
-def _substreams(seed: int, domain: int, start: int, stop: int):
-    """Generators bit-identical to ``substream(seed, domain, j)``, j in [start, stop).
+def _substreams(seed: int, domain: int, n: int):
+    """Generators bit-identical to ``substream(seed, domain, j)``, j in [0, n).
 
-    The keys are hashed ``_KEY_BLOCK`` at a time as uint32 arrays, and each
-    yielded generator is one reused ``Generator`` set to key j's state, so
-    it is valid only until the next one is taken.
+    The keys are hashed ``_KEY_BLOCK`` at a time, each block's as one uint32
+    array word: every j is below 2^32, since ``BootstrapConfig`` bounds
+    ``n_boot``. Each yielded generator is one reused ``Generator`` set to key
+    j's state, so it is valid only until the next one is taken.
     """
     # with a spawn key, SeedSequence pads the seed's words to the pool size
     prefix = _words(seed)
     prefix += [0] * (_POOL - len(prefix)) + _words(domain)
     rng = np.random.default_rng(0)
-    j = start
-    while j < stop:
-        # every key of a block shares j's words above the lowest
-        high = j >> 32
-        n = min(stop, j + _KEY_BLOCK, (high + 1) << 32) - j
-        low = np.arange(j & _MASK32, (j & _MASK32) + n, dtype=np.uint32)
-        entropy = prefix + [low] + _words(j)[1:]
+    for j in range(0, n, _KEY_BLOCK):
+        keys = np.arange(j, min(n, j + _KEY_BLOCK), dtype=np.uint32)
         # scoped to the hash: the caller's draws between yields keep its own
         with np.errstate(over="ignore"):
-            states = _pcg_states(_seed_pool(entropy))
+            states = _pcg_states(_seed_pool(prefix + [keys]))
         for state, inc in states:
             rng.bit_generator.state = {
                 "bit_generator": "PCG64",
@@ -157,7 +156,6 @@ def _substreams(seed: int, domain: int, start: int, stop: int):
                 "uinteger": 0,
             }
             yield rng
-        j += n
 
 
 def derive_seed(seed: int, *path: int) -> int:

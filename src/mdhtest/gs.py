@@ -364,14 +364,13 @@ def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> int
         prod_k = prod[: 2 * n * bins].reshape(2, n, bins)
         corr_k = corr[: 2 * n * nfft].reshape(2, n, nfft)
         lift_k = lift[: n * J].reshape(n, J)
-        open_spec, open_mean = spec, mean
-        if n < len(eta):  # rows have left: gather the open ones into the buffers
-            # mode="clip" writes into out directly; "raise" would buffer it
-            open_spec = spec.take(rows, axis=1, out=prod_k, mode="clip")
-            open_mean = mean.take(rows, axis=0, out=lift_k, mode="clip")
-        np.multiply(open_spec, fit.rotated[k], out=prod_k)
+        # gather the open rows into the buffers, all of them at column 0;
+        # mode="clip" writes into out directly, "raise" would buffer it
+        spec.take(rows, axis=1, out=prod_k, mode="clip")
+        mean.take(rows, axis=0, out=lift_k, mode="clip")
+        prod_k *= fit.rotated[k]
         np.fft.irfft(prod_k, nfft, out=corr_k)
-        np.multiply(open_mean, fit.rotated_prefix[k], out=lift_k)
+        lift_k *= fit.rotated_prefix[k]
         u, rest = corr_k[0, :, 1 : J + 1], corr_k[1, :, 1 : J + 1]
         rest *= fit.shift
         rest += lift_k
@@ -391,8 +390,8 @@ def _retire(fit: _Fit, inputs: np.ndarray, spec: np.ndarray, work: tuple) -> int
 def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     """Bootstrap statistics at or above the observed one.
 
-    Replication b reads ``substream(boot.seed, GS_DOMAIN, b)``, derived in
-    bulk by ``_substreams``, and blocks of replications go through
+    Replication b in [0, B) reads ``substream(boot.seed, GS_DOMAIN, b)``,
+    derived in bulk by ``_substreams``, and blocks of replications go through
     ``_retire``. The block's buffers are allocated once per test, flat, and
     each block takes their leading part, so a short last block is
     contiguous too.
@@ -410,7 +409,7 @@ def _exceedances(fit: _Fit, boot: BootstrapConfig) -> int:
     inputs = np.empty(2 * m * T)
     spectra = np.empty(2 * m * bins, dtype=complex)
     exceed = 0
-    streams = _substreams(boot.seed, GS_DOMAIN, 0, boot.n_boot)
+    streams = _substreams(boot.seed, GS_DOMAIN, boot.n_boot)
     for start in range(0, boot.n_boot, m):
         n = min(m, boot.n_boot - start)
         block = inputs[: 2 * n * T].reshape(2, n, T)

@@ -52,7 +52,7 @@ _BOOT = BootstrapConfig(n_boot=9)
 #  attribute that stores the value or None)
 COUNTS = {
     "BootstrapConfig.n_boot": (
-        "n_boot", lambda v: BootstrapConfig(n_boot=v), 1, None, 9, "n_boot"),
+        "n_boot", lambda v: BootstrapConfig(n_boot=v), 1, 2**32, 9, "n_boot"),
     "BootstrapConfig.seed": (
         "seed", lambda v: BootstrapConfig(seed=v), 0, None, 7, "seed"),
     "WindowSpec.window_years": (

@@ -7,8 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdhtest import (
+    MULTIPLIERS,
     AvrOutcome,
     BootstrapConfig,
+    DegenerateSeriesError,
     DgpSpec,
     avr_statistic,
     avr_test,
@@ -189,8 +191,36 @@ class TestAvrStatistic:
         assert k2 == pytest.approx(k1, rel=1e-8)
 
 
+def _rebuilt(values, boot):
+    """The AvrOutcome of ``avr_test`` rebuilt one replication at a time.
+
+    Replication j draws from ``substream(seed, AVR_DOMAIN, j)`` and runs
+    ``avr_statistic`` once; a constant replication counts as 0.
+    """
+    stat, vr, bw = avr_statistic(make_series(values))
+    boot_stats = np.zeros(boot.n_boot)
+    for j in range(boot.n_boot):
+        rng = substream(boot.seed, AVR_DOMAIN, j)
+        eta = draw_multipliers(rng, boot.multiplier, len(values))
+        try:
+            boot_stats[j] = avr_statistic(make_series(eta * values))[0]
+        except DegenerateSeriesError:
+            pass
+    exceed = int(np.sum(np.abs(boot_stats) >= abs(stat)))
+    ci_low, ci_high = np.percentile(boot_stats, [2.5, 97.5])
+    return AvrOutcome(
+        statistic=stat,
+        vr=vr,
+        bandwidth=bw,
+        p_value=(1.0 + exceed) / (boot.n_boot + 1.0),
+        ci_low=float(ci_low),
+        ci_high=float(ci_high),
+        n_boot=boot.n_boot,
+    )
+
+
 class TestAvrTest:
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         s = make_series(random_series_values(np.random.default_rng(15), 80))
         boot = BootstrapConfig(n_boot=60, multiplier="rademacher", seed=99)
         a = avr_test(s, boot)
@@ -209,27 +239,34 @@ class TestAvrTest:
                 cases.append((T, 2 * (_CHUNK_BYTES // (8 * (T - 1))) + 1, law, 7))
         for T, n_boot, law, seed in cases:
             values = random_series_values(np.random.default_rng(16), T)
-            s = make_series(values)
             boot = BootstrapConfig(n_boot=n_boot, multiplier=law, seed=seed)
-            out = avr_test(s, boot)
-            stat, vr, bw = avr_statistic(s)
-            boot_stats = np.empty(boot.n_boot)
-            for j in range(boot.n_boot):
-                rng = substream(boot.seed, AVR_DOMAIN, j)
-                eta = draw_multipliers(rng, boot.multiplier, len(values))
-                boot_stats[j], _, _ = avr_statistic(make_series(eta * values))
-            exceed = int(np.sum(np.abs(boot_stats) >= abs(stat)))
-            ci_low, ci_high = np.percentile(boot_stats, [2.5, 97.5])
-            want = AvrOutcome(
-                statistic=stat,
-                vr=vr,
-                bandwidth=bw,
-                p_value=(1.0 + exceed) / (boot.n_boot + 1.0),
-                ci_low=float(ci_low),
-                ci_high=float(ci_high),
-                n_boot=boot.n_boot,
-            )
-            assert out == want, (T, n_boot, law)
+            assert avr_test(make_series(values), boot) == _rebuilt(values, boot), (
+                T, n_boot, law)
+
+    @given(
+        values=generated_values(4, 120),
+        n_boot=st.integers(1, 40),
+        law=st.sampled_from(MULTIPLIERS),
+        seed=st.integers(0, 2**130),
+    )
+    # Rademacher signs on equal |values| make constant replications; seed 56's
+    # only one is constant, so its 0 is the whole band
+    @example(values=np.array([0.01, -0.01] * 3), n_boot=40, law="rademacher", seed=0)
+    @example(values=np.array([0.01, -0.01] * 3), n_boot=1, law="rademacher", seed=56)
+    @settings(derandomize=True, deadline=None)
+    def test_matches_manual_bootstrap_reconstruction_on_generated_series(
+        self, values, n_boot, law, seed
+    ):
+        # tied, offset and tiny-scale data too; a constant series is refused
+        # by both sides
+        boot = BootstrapConfig(n_boot=n_boot, multiplier=law, seed=seed)
+        try:
+            want = _rebuilt(values, boot)
+        except DegenerateSeriesError:
+            with pytest.raises(DegenerateSeriesError):
+                avr_test(make_series(values), boot)
+            return
+        assert avr_test(make_series(values), boot) == want
 
     def test_one_draw_per_replication(self, monkeypatch):
         # the benchmark's tracer counts these calls through avr's globals:
@@ -250,7 +287,7 @@ class TestAvrTest:
         # T = 300 runs 27 replications per chunk: two chunks share one stream
         values = random_series_values(np.random.default_rng(17), 300)
         avr_test(make_series(values), BootstrapConfig(n_boot=39, seed=11))
-        assert streams == [(11, AVR_DOMAIN, 0, 39)]
+        assert streams == [(11, AVR_DOMAIN, 39)]
         assert len(draws) == 39
         assert len(acfs) == 40
 

@@ -26,6 +26,11 @@ class TestBootstrapConfig:
             with pytest.raises(ValueError, match="n_boot"):
                 BootstrapConfig(n_boot=bad)
 
+    def test_n_boot_reaches_two_to_the_32(self):
+        # the upper bound is accepted (tests/test_arguments.py refuses 2^32 + 1);
+        # every replication key j < n_boot is one 32-bit word
+        assert BootstrapConfig(n_boot=2**32).n_boot == 2**32
+
     def test_rejects_unknown_multiplier(self):
         with pytest.raises(ValueError, match="multiplier"):
             BootstrapConfig(multiplier="uniform")
@@ -47,44 +52,43 @@ class TestSubstreams:
         assert not np.array_equal(a, d)
 
     def test_bulk_streams_match_substream_draw_for_draw(self):
-        # 32 (seed, domain) pairs x 3 602 keys: runs that cross a hash block,
-        # 10^6, and 2^32 (where j takes a second word); laws rotate by pair
+        # 32 (seed, domain) pairs x 3 200 keys, crossing a hash block three
+        # times; laws rotate by pair
         seeds = [0, 1, 2**32 - 1, 2**32, 2**32 + 17, 2**64 - 1, 2**64, 2**130 + 5]
-        ranges = [(0, 2100), (999_500, 1_000_500), (2**32 - 2, 2**32 + 500)]
-        assert ranges[0][1] > _KEY_BLOCK
+        n = 3200
+        assert n > 3 * _KEY_BLOCK
         keys = mismatched = 0
         for s, seed in enumerate(seeds):
             for domain in (1, 2, 3, 4):
                 law = MULTIPLIERS[(s + domain) % 3]
-                for start, stop in ranges:
-                    got = [
-                        draw_multipliers(rng, law, 6)
-                        for rng in _substreams(seed, domain, start, stop)
-                    ]
-                    want = [
-                        draw_multipliers(substream(seed, domain, j), law, 6)
-                        for j in range(start, stop)
-                    ]
-                    keys += len(want)
-                    mismatched += sum(
-                        not np.array_equal(g, w) for g, w in zip(got, want, strict=True)
-                    )
+                got = [
+                    draw_multipliers(rng, law, 6)
+                    for rng in _substreams(seed, domain, n)
+                ]
+                want = [
+                    draw_multipliers(substream(seed, domain, j), law, 6)
+                    for j in range(n)
+                ]
+                keys += len(want)
+                mismatched += sum(
+                    not np.array_equal(g, w) for g, w in zip(got, want, strict=True)
+                )
         assert keys >= 100_000
         assert mismatched == 0
 
-    def test_bulk_streams_start_anywhere(self):
-        # j = 2^64 takes three words; an empty range yields nothing
-        for start, stop in [(5, 9), (2**64 - 2, 2**64 + 2), (7, 7)]:
-            got = [rng.random(3) for rng in _substreams(3, 2, start, stop)]
-            want = [substream(3, 2, j).random(3) for j in range(start, stop)]
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_bulk_streams_yield_exactly_n(self, n):
+        # an empty count yields nothing; the others end on either side of a block
+        got = [rng.random(2) for rng in _substreams(5, 3, n)]
+        assert len(got) == n
+        want = [substream(5, 3, j).random(2) for j in range(n)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_bulk_streams_bounded_memory(self):
         # hashing 2e5 keys at once would hold tens of MB of states
         tracemalloc.start()
         try:
-            n = sum(1 for _ in _substreams(9, 1, 0, 200_000))
+            n = sum(1 for _ in _substreams(9, 1, 200_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

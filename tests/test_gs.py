@@ -569,7 +569,7 @@ class TestGsTest:
         assert out.max_lag_used == 5
         assert out.statistic == gs_statistic(s, max_lag=5)
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         s = make_series(random_series_values(np.random.default_rng(35), 90))
         boot = BootstrapConfig(n_boot=40, multiplier="rademacher", seed=17)
         a = gs_test(s, boot)
@@ -615,7 +615,7 @@ class TestGsTest:
         monkeypatch.setattr(gs, "draw_multipliers", counted(draws, draw_multipliers))
         values = 100.0 * random_series_values(np.random.default_rng(16), 300)
         gs_test(make_series(values), BootstrapConfig(n_boot=39, seed=11))
-        assert streams == [(11, GS_DOMAIN, 0, 39)]
+        assert streams == [(11, GS_DOMAIN, 39)]
         assert len(draws) == 39
 
     def test_p_value_grid_and_range(self):
