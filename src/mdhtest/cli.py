@@ -14,9 +14,7 @@ import io
 import os
 import sys
 from csv import writer as _csv_writer
-from dataclasses import asdict, replace
-
-import numpy as np
+from dataclasses import asdict
 
 from .avr import avr_test
 from .bootstrap import MULTIPLIERS, BootstrapConfig
@@ -158,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--test", choices=TESTS, required=True)
     p.add_argument(
-        "--window-years", type=int, default=None,
+        "--window-years", type=int, default=WindowSpec.window_years,
         help="window width (default: 5 if the median date gap is >= 7 days, else 2)",
     )
     p.add_argument(
@@ -253,20 +251,11 @@ def _cmd_gs(args) -> int:
 
 def _cmd_roll(args) -> int:
     workers = _count(args.workers, "workers", 1)
-    given = {"step_years": args.step_years, "min_observations": args.min_obs}
-    if args.window_years is not None:
-        given["window_years"] = args.window_years
-    # a bad value is refused before the input is read
-    replace(WindowSpec.for_frequency("daily"), **given)
+    # a bad value is refused before the input is read; with no
+    # --window-years, make_windows takes the width from the dates
+    spec = WindowSpec(args.window_years, args.step_years, args.min_obs)
     boot = _boot_config(args)
-    series = _load_series(args)
-    # The median date gap is 1 day in daily data, week-long holidays or not,
-    # and 7 in weekly data. Data with two dates a week have gaps that sum to
-    # 7 and a median of at most 6, so they take the daily windows
-    gaps = np.diff(series.dates).astype(int)
-    weekly = len(gaps) > 0 and np.median(gaps) >= 7
-    spec = replace(WindowSpec.for_frequency("weekly" if weekly else "daily"), **given)
-    result = run_rolling(series, spec, args.test, boot, workers=workers)
+    result = run_rolling(_load_series(args), spec, args.test, boot, workers=workers)
     rows = [_ROLL_COLUMNS]
     n_sig = n_skip = 0
     for win in result.windows:

@@ -2,7 +2,9 @@
 
 Windows are half-open calendar-year intervals anchored at January 1 of the
 first observation's year and advanced in whole-year steps, so boundaries do
-not depend on the first trading day. Each window gets its own bootstrap
+not depend on the first trading day. Unless a width is given, it comes from
+the dates: 5 years for weekly data and 2 for daily, a few hundred
+observations either way. Each window gets its own bootstrap
 seed derived from (master seed, window index): results are identical
 whether windows run serially or in parallel, and a re-run with the same
 seed reproduces every window bit for bit.
@@ -22,27 +24,36 @@ from .gs import GsOutcome, gs_test
 from .series import FREQUENCIES, ReturnSeries, _choice, _count
 
 TESTS = ("avr", "gs")
+# default window widths in years, for daily and for weekly dates
+_YEARS = {"daily": 2, "weekly": 5}
 
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Rolling-window geometry: width and stride in calendar years."""
+    """Rolling-window geometry: width and stride in calendar years.
 
-    window_years: int
+    ``window_years=None`` takes the width from the dates, in
+    :func:`make_windows`. Widths and strides are at most 10**6 years.
+    """
+
+    window_years: Optional[int] = None
     step_years: int = 1
     min_observations: int = 30
 
     def __post_init__(self):
-        for name, low in (
-            ("window_years", 1), ("step_years", 1), ("min_observations", 10)
+        for name, low, high in (
+            ("window_years", 1, 10**6), ("step_years", 1, 10**6),
+            ("min_observations", 10, None),
         ):
-            object.__setattr__(self, name, _count(getattr(self, name), name, low))
+            value = getattr(self, name)
+            if value is not None or name != "window_years":  # None: from the dates
+                object.__setattr__(self, name, _count(value, name, low, high))
 
     @classmethod
     def for_frequency(cls, frequency: str) -> "WindowSpec":
         """Defaults sized to give a few hundred observations per window."""
         _choice(frequency, FREQUENCIES, "frequency")
-        return cls(window_years=2 if frequency == "daily" else 5)
+        return cls(_YEARS[frequency])
 
 
 class Window(NamedTuple):
@@ -88,12 +99,24 @@ def make_windows(series: ReturnSeries, spec: WindowSpec) -> list:
     the last observation's year. Reported end dates are the inclusive final
     day. A window may map to an empty index range (data gaps); the caller
     decides how to treat thin windows.
+
+    With ``spec.window_years`` None, windows are 5 years wide when the
+    median gap between consecutive dates is 7 days or more, else 2 years
+    (also for a one-date series).
     """
     dates = series.dates
+    width = spec.window_years
+    if width is None:
+        # The median date gap is 1 day in daily data, week-long holidays or
+        # not, and 7 in weekly data. Data with two dates a week have gaps
+        # that sum to 7 and a median of at most 6, so they take the daily
+        # windows
+        weekly = len(dates) > 1 and np.median(np.diff(dates).astype(int)) >= 7
+        width = _YEARS["weekly" if weekly else "daily"]
     first, last = dates[[0, -1]].astype("datetime64[Y]")
-    years = np.arange(first, last + 2 - spec.window_years, spec.step_years)
+    years = np.arange(first, last + 2 - width, spec.step_years)
     starts = years.astype("datetime64[D]")
-    ends = (years + spec.window_years).astype("datetime64[D]")
+    ends = (years + width).astype("datetime64[D]")
     lo = np.searchsorted(dates, starts).tolist()
     hi = np.searchsorted(dates, ends).tolist()
     inclusive = ends - np.timedelta64(1, "D")

@@ -6,7 +6,10 @@ independent of the package's vectorized/compiled code paths.
 """
 
 import csv
+import datetime
 import math
+import re
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -192,8 +195,14 @@ def ref_windows(dates, window_years, step_years):
 
     Window i covers [anchor + i*step, anchor + i*step + window) in years,
     anchored at January 1 of the first date's year, while its open end is
-    no later than January 1 of the year after the last date's.
+    no later than January 1 of the year after the last date's. A
+    ``window_years`` of None is 5 when the median day count between
+    consecutive dates is 7 or more, else 2 (also with no gap at all).
     """
+    if window_years is None:
+        days = [d.toordinal() for d in dates.astype(object)]
+        gaps = [b - a for a, b in zip(days, days[1:])]
+        window_years = 5 if gaps and statistics.median(gaps) >= 7 else 2
     anchor = _year(dates[0])
     last = _year(dates[-1])
     windows = []
@@ -233,6 +242,60 @@ def ref_load_wide(path):
     dates = np.array(days, dtype="datetime64[D]")[rows]
     instruments = np.array(ids, dtype=object)[cols]
     return dates, instruments, matrix[rows, cols]
+
+
+def ref_load_long(path):
+    """A long CSV panel as (dates, instruments, returns), one row at a time.
+
+    Each record is checked as it is read, and a ``seen`` dict keeps the
+    line of each (date, instrument) pair. A repeated pair is raised only
+    after the last record, so a malformed field anywhere in the file is
+    reported first. Faults are ValueErrors worded as ``load_panel``'s
+    PanelErrors, naming the line where the record starts (a quoted field
+    may span lines). The header must be ``date,instrument,return``.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        assert [c.strip() for c in next(reader)] == ["date", "instrument", "return"]
+        days, ids, returns, seen, repeat = [], [], [], {}, None
+        while True:
+            line = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                break
+            where = f"{path}: line {line}"
+            if len(row) != 3:
+                raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
+            text = row[0].strip()
+            try:
+                if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+                    raise ValueError
+                day = datetime.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+            except ValueError:
+                raise ValueError(f"{where}: invalid ISO-8601 date {row[0]!r}") from None
+            instrument = row[1].strip()
+            if not instrument:
+                raise ValueError(f"{where}: empty instrument id")
+            try:
+                value = float(row[2])
+            except ValueError:
+                raise ValueError(f"{where}: invalid return {row[2]!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: non-finite return {row[2]!r}")
+            pair = (day.isoformat(), instrument)
+            if pair in seen and repeat is None:
+                repeat = f"{pair} at lines {seen[pair]} and {line}"
+            seen.setdefault(pair, line)
+            days.append(day)
+            ids.append(instrument)
+            returns.append(value)
+    if repeat is not None:
+        raise ValueError(f"{path}: duplicate (date, instrument) {repeat}")
+    return (
+        np.array(days, dtype="datetime64[D]"),
+        np.array(ids, dtype=object),
+        np.array(returns, dtype=np.float64),
+    )
 
 
 def ref_equal_weight(dates, returns):

@@ -56,10 +56,10 @@ COUNTS = {
     "BootstrapConfig.seed": (
         "seed", lambda v: BootstrapConfig(seed=v), 0, None, 7, "seed"),
     "WindowSpec.window_years": (
-        "window_years", lambda v: WindowSpec(window_years=v), 1, None, 2,
+        "window_years", lambda v: WindowSpec(window_years=v), 1, 10**6, 2,
         "window_years"),
     "WindowSpec.step_years": (
-        "step_years", lambda v: WindowSpec(2, step_years=v), 1, None, 1,
+        "step_years", lambda v: WindowSpec(2, step_years=v), 1, 10**6, 1,
         "step_years"),
     "WindowSpec.min_observations": (
         "min_observations", lambda v: WindowSpec(2, min_observations=v), 10, None,

@@ -160,7 +160,7 @@ class TestDefaultsComeFromTheLibrary:
         (_, spec, test, boot), kwargs = self.called(
             monkeypatch, capsys, "run_rolling", ["roll", "x.csv", "--test", "avr"]
         )
-        assert spec == WindowSpec.for_frequency("daily")
+        assert spec == WindowSpec()
         assert test == "avr"
         assert boot == BootstrapConfig()
         assert kwargs == {"workers": 1}
@@ -478,7 +478,19 @@ class TestErrorHandling:
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
-        assert err == "error: window_years must be an integer >= 1, got 0\n"
+        assert err == "error: window_years must be an integer in [1, 1000000], got 0\n"
+
+    @pytest.mark.parametrize("flag", ["--window-years", "--step-years"])
+    def test_huge_years_name_the_argument_before_reading_input(self, capsys, flag):
+        # numpy's datetime64[Y] ranges cannot hold such widths or strides
+        argv = ["roll", "no-such-file.csv", "--test", "avr", flag, str(10**20)]
+        code, out, err = run(capsys, argv)
+        name = flag[2:].replace("-", "_")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {name} must be an integer in [1, 1000000], got {10**20}\n"
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["describe", "no-such-file.csv"])

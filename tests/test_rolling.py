@@ -37,6 +37,10 @@ class TestWindowSpec:
         with pytest.raises(ValueError, match="min_observations"):
             WindowSpec(window_years=2, min_observations=9)
 
+    def test_default_width_comes_from_the_dates(self):
+        assert WindowSpec().window_years is None
+        assert WindowSpec() == WindowSpec(None, 1, 30)
+
     def test_frequency_defaults(self):
         assert WindowSpec.for_frequency("daily").window_years == 2
         assert WindowSpec.for_frequency("weekly").window_years == 5
@@ -214,6 +218,20 @@ class TestRunRolling:
                 continue
             child = BootstrapConfig(n_boot=19, seed=derive_seed(6, WINDOW_DOMAIN, w))
             assert result.outcome == gs_test(s.slice(win.lo, win.hi), child)
+
+    @pytest.mark.parametrize(
+        "frequency, n, width, windows",
+        [("daily", 4 * 365, 2, 4), ("weekly", 600, 5, 8)],
+    )
+    def test_default_window_is_the_width_the_dates_call_for(
+        self, frequency, n, width, windows
+    ):
+        values = np.random.default_rng(15).standard_normal(n) * 0.01
+        s = make_series(values, frequency)
+        boot = BootstrapConfig(n_boot=19, seed=3)
+        default = run_rolling(s, WindowSpec(), "avr", boot)
+        assert default == run_rolling(s, WindowSpec(width), "avr", boot)
+        assert len(default.windows) == windows
 
     def test_worker_count_does_not_change_results(self):
         s = daily_series("2000-01-03", 4 * 365, np.random.default_rng(14))

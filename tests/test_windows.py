@@ -1,4 +1,5 @@
-"""make_windows against the year-by-year loop of ``reference.ref_windows``.
+"""make_windows against the year-by-year loop of ``reference.ref_windows``,
+at given widths and at the width taken from the dates.
 
 Needs only numpy and pytest, so the oldest supported numpy can run it: the
 window rule rests on datetime64[Y] ranges and casts.
@@ -11,6 +12,7 @@ from mdhtest import ReturnSeries, WindowSpec, make_windows
 from reference import ref_windows
 
 DAY = np.dtype("datetime64[D]")
+YEAR = np.dtype("datetime64[Y]")
 
 
 def assert_same_windows(dates, window_years, step_years):
@@ -25,26 +27,34 @@ def assert_same_windows(dates, window_years, step_years):
         assert isinstance(w.end, np.datetime64) and w.end.dtype == DAY
         assert type(w.lo) is int and type(w.hi) is int
         assert (w.start, w.end, w.lo, w.hi) == (start, end, lo, hi)
-    return len(got)
+    return got
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_grid_matches_loop(seed):
-    # first dates 1900-2064, gaps of 1-400 days, 1-400 observations,
-    # window_years 1-7 and step_years 1-5: 500 series per seed
+    # first dates 1900-2064, gaps of 1-400, 1-3 or 5-9 days, 1-400
+    # observations, window_years 1-7 or None (from the dates) and
+    # step_years 1-5: 500 series per seed
     rng = np.random.default_rng(seed)
     first = np.datetime64("1900-01-01", "D")
     span = (np.datetime64("2065-01-01", "D") - first).astype(int)
     windows = 0
+    default_widths = set()
     for _ in range(500):
         n = int(rng.integers(1, 401))
-        gaps = rng.integers(1, 401, size=n - 1)
+        low, high = [(1, 401), (1, 4), (5, 10)][int(rng.integers(3))]
+        gaps = rng.integers(low, high, size=n - 1)
         start = first + int(rng.integers(0, span))
         dates = start + np.concatenate(([0], np.cumsum(gaps)))
-        windows += assert_same_windows(
-            dates, int(rng.integers(1, 8)), int(rng.integers(1, 6))
-        )
-    assert windows > 15000
+        width = int(rng.integers(1, 9))
+        width = None if width == 8 else width
+        got = assert_same_windows(dates, width, int(rng.integers(1, 6)))
+        windows += len(got)
+        if width is None and got:
+            years = got[0].end.astype(YEAR) - got[0].start.astype(YEAR)
+            default_widths.add(int(years.astype(int)) + 1)
+    assert windows > 7500
+    assert default_widths == {2, 5}
 
 
 @pytest.mark.parametrize("window_years", [1, 2, 3, 7])
